@@ -3,21 +3,18 @@
 //! [`tv_uarch::CoSim`] runs N per-scheme timing lanes against one shared
 //! frontend (see `crates/uarch/src/cosim.rs` for the sharing argument and
 //! the bit-identity contract). This module bridges it to the scheme layer:
-//! per-tuple builder bundles configured exactly like the solo paths, the
-//! differential harness's co-sim cell, and the experiment engine's
-//! one-job-per-tuple evaluation. A sweep that used to submit
+//! per-tuple builder bundles configured exactly like the solo paths and
+//! the differential harness's co-sim cell. A sweep that used to submit
 //! `tuples × schemes` jobs submits `tuples` jobs instead, each paying for
 //! trace generation, fault sampling, branch-outcome resolution, and the
 //! 300k-instruction fault-calibration probe once rather than
 //! `schemes.len()` times.
 
-use tv_energy::RunEnergy;
 use tv_timing::Voltage;
 use tv_uarch::cosim::CoSim;
 use tv_uarch::PipelineBuilder;
 
 use crate::diff::{stream_hash, DiffConfig, DiffRun, DiffTuple};
-use crate::experiment::{Evaluation, RunConfig, SchemeResult};
 use crate::schemes::Scheme;
 use crate::workload::Workload;
 
@@ -104,53 +101,4 @@ pub(crate) fn diff_runs(tuple: &DiffTuple, cfg: &DiffConfig) -> Vec<DiffRun> {
             }
         })
         .collect()
-}
-
-/// Runs `schemes` over one benchmark × voltage cell as a single co-sim
-/// job and returns per-scheme results bit-identical to
-/// [`Experiment::run_scheme`](crate::experiment::Experiment::run_scheme)
-/// in scheme order.
-pub fn run_schemes_cosim(
-    workload: &Workload,
-    vdd: Voltage,
-    config: &RunConfig,
-    schemes: &[Scheme],
-) -> Vec<SchemeResult> {
-    let builders = scheme_builders(workload, config.seed, vdd, schemes, |_, mut b| {
-        b = b.criticality_threshold(config.criticality_threshold);
-        if config.fast_forward > 0 {
-            b = b.fast_forward(config.fast_forward);
-        }
-        b
-    });
-    let mut cosim = CoSim::build(builders);
-    cosim.warm_up(config.warmup);
-    let stats = cosim.run(config.commits);
-    schemes
-        .iter()
-        .zip(stats)
-        .map(|(&scheme, mut stats)| {
-            stats.label = scheme.name().to_string();
-            let energy = RunEnergy::from_stats(&stats, &config.energy);
-            SchemeResult {
-                scheme,
-                stats,
-                energy,
-            }
-        })
-        .collect()
-}
-
-/// One benchmark × voltage evaluation of all six schemes as a single
-/// co-sim job — the schemes-as-one-job form of
-/// [`Experiment::run_all`](crate::experiment::Experiment::run_all).
-pub fn evaluate_cosim(workload: &Workload, vdd: Voltage, config: &RunConfig) -> Evaluation {
-    let bench = match workload {
-        Workload::Bench(b) => *b,
-        Workload::Riscv { .. } => {
-            panic!("evaluate_cosim measures synthetic benchmark cells; riscv programs \
-                    run start-to-halt through the diff/campaign paths")
-        }
-    };
-    Evaluation::new(bench, vdd, run_schemes_cosim(workload, vdd, config, &Scheme::ALL))
 }

@@ -249,16 +249,6 @@ pub struct Evaluation {
 }
 
 impl Evaluation {
-    /// Bundles results produced outside the experiment's own job flow
-    /// (the co-sim orchestration builds evaluations lane-by-lane).
-    pub(crate) fn new(bench: Benchmark, vdd: Voltage, results: Vec<SchemeResult>) -> Self {
-        Evaluation {
-            bench,
-            vdd,
-            results,
-        }
-    }
-
     /// The benchmark evaluated.
     pub fn benchmark(&self) -> Benchmark {
         self.bench

@@ -81,7 +81,7 @@ pub use cluster::{
     run_groups, worker_loop, ClusterConfig, ClusterStats,
 };
 pub use persist::{fnv1a, write_atomic, write_atomic_str};
-pub use cosim::{build_cosim, evaluate_cosim, run_schemes_cosim, scheme_builders};
+pub use cosim::{build_cosim, scheme_builders};
 pub use diff::{run_differential, DiffConfig, DiffReport, DiffRun, DiffTuple};
 pub use experiment::{run_evaluations, Evaluation, Experiment, RunConfig, SchemeResult};
 pub use fleet::{Fleet, FleetRun, FleetStats, Job, JobPanic, JobTiming};

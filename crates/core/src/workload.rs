@@ -9,7 +9,7 @@
 //! binary, so campaigns and tests never depend on the working directory.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use tv_workloads::riscv::assemble;
 use tv_workloads::{Benchmark, RiscvProgram, WorkloadSpec};
@@ -101,22 +101,20 @@ impl Workload {
         })
     }
 
-    /// One of the [`BUILTIN_ASM`] programs by name.
+    /// One of the [`BUILTIN_ASM`] programs by name. The programs are
+    /// assembled once per process; every call hands out a clone of the
+    /// same `Arc`.
     ///
     /// # Panics
     ///
     /// Panics if an embedded program fails to assemble (a build-time bug;
     /// the unit tests assemble every built-in).
     pub fn builtin(name: &str) -> Option<Workload> {
-        BUILTIN_ASM
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(n, src)| Workload::Riscv {
-                name: (*n).to_string(),
-                program: Arc::new(
-                    assemble(src).unwrap_or_else(|e| panic!("built-in {n}.asm: {e}")),
-                ),
-            })
+        let i = BUILTIN_ASM.iter().position(|(n, _)| *n == name)?;
+        Some(Workload::Riscv {
+            name: name.to_string(),
+            program: Arc::clone(&builtin_programs()[i]),
+        })
     }
 
     /// The names of the built-in RISC-V programs.
@@ -188,6 +186,21 @@ fn builtin_names() -> Vec<&'static str> {
     BUILTIN_ASM.iter().map(|(n, _)| *n).collect()
 }
 
+/// The [`BUILTIN_ASM`] programs in table order, assembled on first use.
+/// A campaign's store key fingerprints every RISC-V tuple's program, so
+/// re-assembling per call would dominate a cached request.
+fn builtin_programs() -> &'static [Arc<RiscvProgram>] {
+    static PROGRAMS: OnceLock<Vec<Arc<RiscvProgram>>> = OnceLock::new();
+    PROGRAMS.get_or_init(|| {
+        BUILTIN_ASM
+            .iter()
+            .map(|(n, src)| {
+                Arc::new(assemble(src).unwrap_or_else(|e| panic!("built-in {n}.asm: {e}")))
+            })
+            .collect()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,6 +217,44 @@ mod tests {
             }
         }
         assert_eq!(Workload::builtin_names().len(), BUILTIN_ASM.len());
+    }
+
+    #[test]
+    fn builtins_are_assembled_once_and_shared() {
+        for (name, src) in BUILTIN_ASM {
+            let program = |w: Workload| match w {
+                Workload::Riscv { program, .. } => program,
+                Workload::Bench(_) => unreachable!(),
+            };
+            let a = program(Workload::builtin(name).expect(name));
+            let b = program(Workload::parse(&format!("riscv:{name}")).expect(name));
+            assert!(Arc::ptr_eq(&a, &b), "{name}: one program per process");
+            assert_eq!(
+                *a,
+                assemble(src).expect(name),
+                "{name}: same as a fresh assembly"
+            );
+        }
+    }
+
+    /// RISC-V PCs come from executing the program, so a built-in keeps
+    /// the probe that builds every instruction, and it ends at the halt.
+    #[test]
+    fn riscv_builtins_probe_every_instruction_up_to_the_halt() {
+        const BUDGET: u64 = 300_000;
+        for (name, _) in BUILTIN_ASM {
+            let spec = Workload::builtin(name).expect(name).spec();
+            let mut reference = spec.source(0);
+            let mut want = std::collections::BTreeMap::new();
+            while let Some(inst) = reference.next_inst() {
+                *want.entry(inst.pc).or_insert(0u64) += 1;
+            }
+            let want: Vec<(u64, u64)> = want.into_iter().collect();
+            let got = spec.source(0).pc_counts(BUDGET);
+            assert_eq!(got, want, "{name}");
+            let executed: u64 = got.iter().map(|&(_, c)| c).sum();
+            assert!(executed < BUDGET, "{name}: halts before the probe budget");
+        }
     }
 
     #[test]

@@ -282,14 +282,7 @@ impl PipelineBuilder {
         // finite workloads may end before the probe budget runs out).
         let mut probe = self.workload.source(self.seed);
         probe.fast_forward(self.fast_forward);
-        let mut weights: std::collections::HashMap<u64, u64> =
-            std::collections::HashMap::new();
-        for _ in 0..FAULT_CALIBRATION_PROBE {
-            match probe.next_inst() {
-                Some(t) => *weights.entry(t.pc).or_default() += 1,
-                None => break,
-            }
-        }
+        let weights = probe.pc_counts(FAULT_CALIBRATION_PROBE);
         Some(FaultModel::calibrated(
             cal, self.vdd, self.seed, sensor, weights,
         ))
@@ -2404,6 +2397,66 @@ mod tests {
         assert_eq!(log.len(), 500);
         for (i, &(seq, _, _)) in log.iter().enumerate() {
             assert_eq!(seq, i as u64, "commit stream is contiguous from 0");
+        }
+    }
+
+    #[test]
+    fn walked_calibration_decides_like_a_probe_that_builds_every_instruction() {
+        for (bench, seed, ff) in [
+            (Benchmark::Gcc, 42, 0),
+            (Benchmark::Mcf, 7, 777),
+            (Benchmark::Libquantum, 3, 12_345),
+        ] {
+            let builder = Pipeline::builder(bench, seed)
+                .tolerance(ToleranceMode::ViolationAware)
+                .voltage(Voltage::high_fault())
+                .fast_forward(ff);
+            let walked = builder.make_fault_model().expect("faulty mode has a model");
+
+            let mut gen = tv_workloads::TraceGenerator::for_benchmark(bench, seed);
+            gen.fast_forward(ff);
+            let mut weights = std::collections::HashMap::new();
+            for _ in 0..FAULT_CALIBRATION_PROBE {
+                *weights.entry(gen.next_inst().pc).or_insert(0u64) += 1;
+            }
+            let reference = FaultModel::calibrated(
+                builder.resolved_calibration(),
+                builder.vdd,
+                seed,
+                builder.resolved_sensor(),
+                weights,
+            );
+
+            // Every static PC and one past the end (unprofiled), at
+            // xorshift-scattered sequence numbers.
+            let mut pcs: Vec<u64> = gen
+                .program()
+                .blocks()
+                .iter()
+                .flat_map(|b| &b.insts)
+                .map(|i| i.pc)
+                .collect();
+            pcs.push(pcs[pcs.len() - 1] + 4);
+            let mut x = seed | 1;
+            let mut faults = 0;
+            for i in 0..100_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let pc = pcs[(x % pcs.len() as u64) as usize];
+                let (is_mem, seq) = (x >> 63 == 1, (x >> 20) % 1_000_000 + i);
+                let verdict = walked.decide(pc, is_mem, seq);
+                assert_eq!(
+                    verdict,
+                    reference.decide(pc, is_mem, seq),
+                    "{bench:?} pc {pc:#x} seq {seq}"
+                );
+                faults += usize::from(verdict.is_some());
+            }
+            assert!(
+                faults > 0,
+                "{bench:?}: no pair faulted; the comparison is vacuous"
+            );
         }
     }
 

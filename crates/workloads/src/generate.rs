@@ -10,8 +10,8 @@
 use tv_prng::{ChaCha12Rng, FastHashMap, Rng, SeedableRng};
 
 use crate::inst::{OpClass, TraceInst};
-use crate::profile::{Benchmark, Profile};
-use crate::program::{StaticProgram, Terminator, COLD_BASE, HOT_BASE};
+use crate::profile::{Benchmark, MemoryShape, Profile};
+use crate::program::{MemPattern, StaticProgram, Terminator, COLD_BASE, HOT_BASE};
 
 /// Per-static-memory-instruction address state.
 #[derive(Debug, Clone, Copy)]
@@ -100,54 +100,10 @@ impl TraceGenerator {
         if slot == 0 {
             self.block_counts[block_id] += 1;
         }
-        let block = &self.program.blocks()[block_id];
-        let sinst = block.insts[slot].clone();
-        let is_last = slot + 1 == block.insts.len();
-
-        let mut taken = None;
-        let mut target = None;
-        if is_last {
-            // Match the terminator by reference: `Cond::pattern` owns a
-            // Vec, so cloning it here would put an allocation on the
-            // per-instruction hot path.
-            match block.terminator {
-                Terminator::Fall { next } => {
-                    self.block = next;
-                    self.slot = 0;
-                }
-                Terminator::Jump { target: t } => {
-                    taken = Some(true);
-                    target = Some(self.program.blocks()[t].start_pc());
-                    self.block = t;
-                    self.slot = 0;
-                }
-                Terminator::Cond {
-                    taken: t_blk,
-                    fall,
-                    bias,
-                    ref pattern,
-                } => {
-                    let is_taken = match pattern {
-                        Some(pat) => {
-                            let pos = &mut self.pattern_pos[block_id];
-                            let dir = pat[*pos as usize % pat.len()];
-                            *pos = (*pos + 1) % pat.len() as u32;
-                            dir
-                        }
-                        None => self.rng.gen_bool(bias),
-                    };
-                    taken = Some(is_taken);
-                    let next = if is_taken { t_blk } else { fall };
-                    if is_taken {
-                        target = Some(self.program.blocks()[t_blk].start_pc());
-                    }
-                    self.block = next;
-                    self.slot = 0;
-                }
-            }
-        } else {
-            self.slot += 1;
-        }
+        let sinst = self.program.blocks()[block_id].insts[slot].clone();
+        let taken = self.step();
+        // A taken transfer lands on the block `step` moved to.
+        let target = (taken == Some(true)).then(|| self.program.blocks()[self.block].start_pc());
 
         let mem_addr = sinst.mem.map(|m| self.next_address(sinst.pc, m));
         let operand_values = [
@@ -171,6 +127,122 @@ impl TraceGenerator {
         inst
     }
 
+    /// Moves the block and slot positions past the current instruction.
+    /// When it ends its block, the terminator picks the next block — a
+    /// patterned branch advances its pattern position, an unpatterned one
+    /// makes one Bernoulli draw — and the returned direction is that of
+    /// the branch or jump (`None` for any other instruction).
+    ///
+    /// With [`draw_access`](Self::draw_access) this is every ChaCha12 draw
+    /// of the walk, so [`next_inst`](Self::next_inst) and
+    /// [`walk_pc_counts`](Self::walk_pc_counts) calling both in the same
+    /// order consume the stream draw for draw.
+    ///
+    /// Forced inline, like `draw_access`: `next_inst` runs once per
+    /// simulated instruction, and with the calls left to the compiler it
+    /// ran ~18% slower (paired release runs of `gen_speed`).
+    #[inline(always)]
+    fn step(&mut self) -> Option<bool> {
+        let block = &self.program.blocks()[self.block];
+        if self.slot + 1 < block.insts.len() {
+            self.slot += 1;
+            return None;
+        }
+        // Match the terminator by reference: `Cond::pattern` owns a Vec,
+        // so cloning it here would put an allocation on the
+        // per-instruction hot path.
+        let (next, taken) = match block.terminator {
+            Terminator::Fall { next } => (next, None),
+            Terminator::Jump { target } => (target, Some(true)),
+            Terminator::Cond {
+                taken,
+                fall,
+                bias,
+                ref pattern,
+            } => {
+                let is_taken = match pattern {
+                    Some(pat) => {
+                        let pos = &mut self.pattern_pos[self.block];
+                        let dir = pat[*pos as usize % pat.len()];
+                        *pos = (*pos + 1) % pat.len() as u32;
+                        dir
+                    }
+                    None => self.rng.gen_bool(bias),
+                };
+                (if is_taken { taken } else { fall }, Some(is_taken))
+            }
+        };
+        self.block = next;
+        self.slot = 0;
+        taken
+    }
+
+    /// The ChaCha12 draws of one dynamic memory access, in stream order:
+    /// its region (`true` = cold) and, for an access with neither a
+    /// stride nor a pointer chase, its offset within that region.
+    ///
+    /// Region choice is per dynamic access so the cold share tracks the
+    /// profile exactly, independent of which static instructions happen
+    /// to sit in hot loops. Pointer chases use their own miss fraction
+    /// (most hops of a pointer walk hit the cached part of the structure;
+    /// a `chase_miss_frac` share wanders cold).
+    #[inline(always)]
+    fn draw_access(&mut self, m: MemPattern) -> (bool, Option<u64>) {
+        let mem = self.profile.memory;
+        let cold = if m.pointer_chase {
+            self.rng.gen_bool(mem.chase_miss_frac.clamp(0.0, 1.0))
+        } else {
+            self.rng.gen_bool(mem.cold_frac.clamp(0.0, 1.0))
+        };
+        let random = !m.pointer_chase && !m.strided;
+        let offset = random.then(|| self.rng.gen_range(0..region(&mem, cold).1));
+        (cold, offset)
+    }
+
+    /// Per-PC execution counts of the next `n` instructions, sorted by PC
+    /// — the counts [`next_inst`](Self::next_inst) would produce, without
+    /// building a single instruction.
+    ///
+    /// The walk moves only the block, slot and pattern positions and the
+    /// ChaCha12 stream, through the same [`step`](Self::step) and
+    /// [`draw_access`](Self::draw_access) calls in the same order as
+    /// `next_inst`. Memory cursors, register values, the sequence number
+    /// and the SimPoint block counts draw nothing and decide no control
+    /// flow, so it leaves them behind; it takes the generator by value so
+    /// nothing can use those stale fields afterwards.
+    pub(crate) fn walk_pc_counts(mut self, n: u64) -> Vec<(u64, u64)> {
+        // Static instructions are numbered in program order, which is PC
+        // order; `starts[b]` is block `b`'s first number.
+        let starts: Vec<usize> = self
+            .program
+            .blocks()
+            .iter()
+            .scan(0, |next, b| {
+                let start = *next;
+                *next += b.insts.len();
+                Some(start)
+            })
+            .collect();
+        let mut counts = vec![0u64; self.program.num_insts()];
+        for _ in 0..n {
+            let (block, slot) = (self.block, self.slot);
+            let mem = self.program.blocks()[block].insts[slot].mem;
+            self.step();
+            counts[starts[block] + slot] += 1;
+            if let Some(m) = mem {
+                self.draw_access(m);
+            }
+        }
+        self.program
+            .blocks()
+            .iter()
+            .flat_map(|b| &b.insts)
+            .zip(counts)
+            .filter(|&(_, count)| count > 0)
+            .map(|(inst, count)| (inst.pc, count))
+            .collect()
+    }
+
     /// Drains and resets the dynamic basic-block execution counts gathered
     /// since the previous call (used by the SimPoint analysis).
     pub fn take_block_counts(&mut self) -> Vec<u64> {
@@ -188,42 +260,30 @@ impl TraceGenerator {
         }
     }
 
-    fn next_address(&mut self, pc: u64, m: crate::program::MemPattern) -> u64 {
-        let mem = self.profile.memory;
-        // Region choice is per dynamic access so the cold share tracks the
-        // profile exactly, independent of which static instructions happen
-        // to sit in hot loops. Pointer chases use their own miss fraction
-        // (most hops of a pointer walk hit the cached part of the
-        // structure; a `chase_miss_frac` share wanders cold).
-        let cold = if m.pointer_chase {
-            self.rng.gen_bool(mem.chase_miss_frac.clamp(0.0, 1.0))
-        } else {
-            self.rng.gen_bool(mem.cold_frac.clamp(0.0, 1.0))
-        };
-        let (base, size) = if cold {
-            (COLD_BASE, mem.cold_bytes.max(64))
-        } else {
-            (HOT_BASE, mem.hot_bytes.max(64))
-        };
-        // Separate cursors per region keep strides/walks coherent.
-        let key = pc | ((cold as u64) << 63);
-        let cursor = self
-            .cursors
-            .entry(key)
-            .or_insert(MemCursor { offset: pc % size });
-        let offset = if m.pointer_chase {
-            // Hash walk: the next node lives at a pseudo-random offset
-            // derived from the current one.
-            cursor.offset = splitmix(cursor.offset ^ pc) % size;
-            cursor.offset
-        } else if m.strided {
-            // Cold streams stride at least a cache line (they really miss);
-            // hot strides reuse lines.
-            let stride = if cold { m.stride * 8 } else { m.stride };
-            cursor.offset = (cursor.offset + stride) % size;
-            cursor.offset
-        } else {
-            self.rng.gen_range(0..size)
+    fn next_address(&mut self, pc: u64, m: MemPattern) -> u64 {
+        let (cold, random) = self.draw_access(m);
+        let (base, size) = region(&self.profile.memory, cold);
+        let offset = match random {
+            Some(offset) => offset,
+            None => {
+                // Separate cursors per region keep strides/walks coherent.
+                let key = pc | ((cold as u64) << 63);
+                let cursor = self
+                    .cursors
+                    .entry(key)
+                    .or_insert(MemCursor { offset: pc % size });
+                cursor.offset = if m.pointer_chase {
+                    // Hash walk: the next node lives at a pseudo-random
+                    // offset derived from the current one.
+                    splitmix(cursor.offset ^ pc) % size
+                } else {
+                    // Cold streams stride at least a cache line (they
+                    // really miss); hot strides reuse lines.
+                    let stride = if cold { m.stride * 8 } else { m.stride };
+                    (cursor.offset + stride) % size
+                };
+                cursor.offset
+            }
         };
         base + (offset & !7) // 8-byte aligned
     }
@@ -242,6 +302,15 @@ impl TraceGenerator {
             _ => return,
         };
         self.reg_values[dst.index() as usize] = v;
+    }
+}
+
+/// The `(base, size)` of the cold or the hot data region.
+fn region(mem: &MemoryShape, cold: bool) -> (u64, u64) {
+    if cold {
+        (COLD_BASE, mem.cold_bytes.max(64))
+    } else {
+        (HOT_BASE, mem.hot_bytes.max(64))
     }
 }
 
@@ -385,6 +454,57 @@ mod tests {
             b.next_inst();
         }
         assert_eq!(a.next_inst(), b.next_inst());
+    }
+
+    /// Every benchmark profile, plus the cold-share extremes: at
+    /// `cold_frac = 1.0` the region draw is `gen_bool(1.0)`, which draws
+    /// nothing, and at `0.0` it draws but never picks the cold region.
+    fn walk_profiles() -> Vec<Profile> {
+        let mut profiles: Vec<Profile> = Benchmark::ALL.iter().map(|b| b.profile()).collect();
+        for frac in [1.0, 0.0] {
+            let mut p = Benchmark::Mcf.profile();
+            p.memory.cold_frac = frac;
+            p.memory.chase_miss_frac = frac;
+            profiles.push(p);
+        }
+        profiles
+    }
+
+    #[test]
+    fn pc_count_walk_matches_next_inst_counts() {
+        use crate::source::WorkloadSpec;
+        // Odd lengths stop most walks inside a block.
+        const N: u64 = 10_007;
+        let mut stopped_mid_block = 0;
+        for profile in walk_profiles() {
+            let spec = WorkloadSpec::Synthetic(profile.clone());
+            for seed in [1, 42, 9_001] {
+                for ff in [0, 777, 12_345] {
+                    let mut reference = TraceGenerator::new(profile.clone(), seed);
+                    reference.fast_forward(ff);
+                    let mut want = std::collections::BTreeMap::new();
+                    for _ in 0..N {
+                        *want.entry(reference.next_inst().pc).or_insert(0u64) += 1;
+                    }
+                    let want: Vec<(u64, u64)> = want.into_iter().collect();
+                    stopped_mid_block += usize::from(reference.slot != 0);
+
+                    let mut probe = spec.source(seed);
+                    probe.fast_forward(ff);
+                    let got = probe.pc_counts(N);
+                    assert_eq!(got, want, "{} seed {seed} ff {ff}", profile.name);
+                }
+            }
+        }
+        assert!(stopped_mid_block > 0, "no walk stopped inside a block");
+    }
+
+    #[test]
+    fn pc_count_walk_stops_at_its_budget() {
+        let g = TraceGenerator::for_benchmark(Benchmark::Gcc, 3);
+        assert!(g.clone().walk_pc_counts(0).is_empty());
+        let counts = g.walk_pc_counts(1);
+        assert_eq!(counts, vec![(crate::program::TEXT_BASE, 1)]);
     }
 
     #[test]

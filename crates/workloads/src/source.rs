@@ -10,6 +10,8 @@
 
 use std::sync::Arc;
 
+use tv_prng::{fast_map, FastHashMap};
+
 use crate::generate::TraceGenerator;
 use crate::inst::TraceInst;
 use crate::profile::Profile;
@@ -32,6 +34,27 @@ pub trait WorkloadSource: Send {
             }
         }
     }
+
+    /// Per-PC execution counts of the next `n` instructions (fewer when
+    /// the workload halts first), sorted by PC, zero counts omitted — the
+    /// profile the fault model's critical-PC ranking is calibrated on.
+    ///
+    /// Consumes the source. This default builds every instruction, which
+    /// a source whose PCs come from executing a program must do; the
+    /// synthetic generator overrides it with a walk that builds none and
+    /// leaves its operand state stale.
+    fn pc_counts(mut self: Box<Self>, n: u64) -> Vec<(u64, u64)> {
+        let mut counts: FastHashMap<u64, u64> = fast_map();
+        for _ in 0..n {
+            match self.next_inst() {
+                Some(t) => *counts.entry(t.pc).or_default() += 1,
+                None => break,
+            }
+        }
+        let mut counts: Vec<(u64, u64)> = counts.into_iter().collect();
+        counts.sort_unstable();
+        counts
+    }
 }
 
 impl WorkloadSource for TraceGenerator {
@@ -41,6 +64,10 @@ impl WorkloadSource for TraceGenerator {
 
     fn fast_forward(&mut self, n: u64) {
         TraceGenerator::fast_forward(self, n);
+    }
+
+    fn pc_counts(self: Box<Self>, n: u64) -> Vec<(u64, u64)> {
+        self.walk_pc_counts(n)
     }
 }
 

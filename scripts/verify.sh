@@ -36,6 +36,19 @@ cmp "$tmp_audit/solo/audit_diff.csv" "$tmp_audit/cosim/audit_diff.csv"
 echo "    audit_diff.csv byte-identical between solo and co-sim job shapes"
 rm -rf "$tmp_audit"
 
+echo "==> exact golden: fig4 at the committed length, byte-identical"
+# tests/golden.rs re-derives sampled rows within tolerances; this leg
+# regenerates the whole of fig4 at the length it was committed at
+# (300k commits, 100k warm-up, seed 42) on one worker and requires the
+# committed CSV byte for byte.
+tmp_golden="$(mktemp -d)"
+cargo run --release -q -p tv-bench --bin fig4 --offline -- \
+    --commits 300000 --warmup 100000 --seed 42 --workers 1 \
+    --out "$tmp_golden" >/dev/null 2>&1
+cmp "$tmp_golden/fig4.csv" bench_results/fig4.csv
+echo "    fig4.csv byte-identical to the committed golden"
+rm -rf "$tmp_golden"
+
 echo "==> RISC-V differential + hazard regression tests"
 # Every shipped program: pipeline-vs-executor end-state identity under
 # all schemes with faults injected, pinned hazard end states, assembler
