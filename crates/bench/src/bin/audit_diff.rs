@@ -1,6 +1,8 @@
 //! Scheme-equivalence differential audit: every tolerance scheme must
 //! commit the identical architectural instruction stream, with the
-//! cycle-level invariant auditor reporting zero violations.
+//! cycle-level invariant auditor reporting zero violations. Each tuple's
+//! schemes run as one co-simulation job (shared frontend, one timing lane
+//! per scheme), every lane bit-identical to a solo run.
 //!
 //! ```text
 //! --commits N       measured commits per run        (default 20 000)
@@ -9,9 +11,6 @@
 //! --out DIR         result directory                (default bench_results)
 //! --workers N       fleet worker threads
 //! --basic           Basic audit level (default: Full)
-//! --cosim           run each tuple's schemes as one co-simulation job
-//!                   (shared frontend, N timing lanes; rows bit-identical
-//!                   to solo mode by the tests/cosim_equiv.rs contract)
 //! --fast            CI preset: 1 benchmark x 4 schemes x 2 seeds, 8k commits
 //! --workload NAME   diff a single workload instead of the benchmark sweep;
 //!                   NAME is a benchmark or riscv:<program|file.asm>, and
@@ -42,7 +41,6 @@ struct Args {
     out: PathBuf,
     workers: Option<usize>,
     audit: AuditLevel,
-    cosim: bool,
     fast: bool,
     workload: Option<Workload>,
     procs: Option<usize>,
@@ -56,7 +54,6 @@ fn parse_args() -> Args {
         out: PathBuf::from("bench_results"),
         workers: None,
         audit: AuditLevel::Full,
-        cosim: false,
         fast: false,
         workload: None,
         procs: None,
@@ -64,7 +61,7 @@ fn parse_args() -> Args {
     let mut cli = Cli::new(
         "audit_diff",
         "audit_diff [--commits N] [--warmup N] [--seed N] [--out DIR] [--workers N] \
-         [--basic] [--cosim] [--fast] [--workload NAME] [--procs N] | audit_diff --worker",
+         [--basic] [--fast] [--workload NAME] [--procs N] | audit_diff --worker",
     );
     while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
@@ -74,7 +71,6 @@ fn parse_args() -> Args {
             "--out" => parsed.out = PathBuf::from(cli.value("--out")),
             "--workers" => parsed.workers = Some(cli.parse("--workers")),
             "--basic" => parsed.audit = AuditLevel::Basic,
-            "--cosim" => parsed.cosim = true,
             "--fast" => parsed.fast = true,
             "--workload" => {
                 let name = cli.value("--workload");
@@ -135,17 +131,15 @@ fn main() -> std::process::ExitCode {
         audit: args.audit,
         schemes: schemes.clone(),
         oracle,
-        cosim: args.cosim,
     };
     println!(
         "scheme-equivalence differential audit — {} tuples x {} schemes, \
-         {} commits (+{} warm-up) per run, {:?} audit{}",
+         {} commits (+{} warm-up) per run, {:?} audit",
         tuples.len(),
         cfg.schemes.len(),
         cfg.commits,
         cfg.warmup,
         args.audit,
-        if cfg.cosim { ", co-sim jobs" } else { "" },
     );
 
     let report = if let Some(procs) = args.procs {

@@ -2,15 +2,16 @@
 //!
 //! Sweeps randomized stress tuples (fault bursts, correlated multi-stage
 //! faults, sensor flapping, forced TEP false-positives/negatives) across
-//! every scheme plus the broken `NoTolerance` control, each cell running
-//! crash-isolated under the architectural oracle. Verdict rows land in
-//! `campaign.csv`; every finished cell is also journalled immediately to
-//! `campaign.journal`, so a killed campaign re-run with `--resume`
-//! produces a bit-identical CSV while only executing the missing cells.
+//! every scheme plus the broken `NoTolerance` control, each tuple running
+//! as one crash-isolated co-simulation bundle under the architectural
+//! oracle. Verdict rows land in `campaign.csv`; every finished bundle's
+//! rows are also journalled immediately to `campaign.journal`, so a
+//! killed campaign re-run with `--resume` produces a bit-identical CSV
+//! while only executing the missing cells.
 //!
 //! ```text
 //! campaign [--tuples N] [--riscv N] [--seed N] [--commits N] [--warmup N]
-//!          [--watchdog N] [--no-control] [--smoke] [--resume] [--cosim]
+//!          [--watchdog N] [--no-control] [--smoke] [--resume]
 //!          [--out DIR] [--workers N] [--procs N]
 //! campaign --worker
 //! ```
@@ -23,10 +24,9 @@
 //! `--worker` is the protocol-speaking worker mode (spawned by the
 //! coordinator, not for interactive use).
 //!
-//! `--cosim` runs each tuple's schemes as one co-simulation bundle
-//! (shared frontend, one fault-calibration probe) instead of per-cell
-//! jobs. Rows are bit-identical to per-cell mode, and journals are
-//! interchangeable between the modes on `--resume`.
+//! A bundle shares one frontend and one fault-calibration probe across
+//! its schemes; a lane whose watchdog trips stops in place while its
+//! siblings finish, so every row equals a solo run of its cell.
 //!
 //! `--riscv N` appends N tuples running the built-in RISC-V compute
 //! programs (matmul, quicksort, checksum) through the same scenario and
@@ -40,7 +40,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use tv_bench::harness::Cli;
-use tv_core::{run_campaign, run_campaign_cluster, CampaignConfig, ClusterConfig, Fleet};
+use tv_core::{CampaignConfig, ClusterConfig, Executor, Fleet};
 
 struct Args {
     config: CampaignConfig,
@@ -59,7 +59,7 @@ fn parse_args() -> Args {
     let mut cli = Cli::new(
         "campaign",
         "campaign [--tuples N] [--riscv N] [--seed N] [--commits N] [--warmup N] \
-         [--watchdog N] [--no-control] [--smoke] [--resume] [--cosim] [--out DIR] \
+         [--watchdog N] [--no-control] [--smoke] [--resume] [--out DIR] \
          [--workers N] [--procs N] | campaign --worker",
     );
     while let Some(arg) = cli.next_arg() {
@@ -74,12 +74,10 @@ fn parse_args() -> Args {
             "--smoke" => {
                 config = CampaignConfig {
                     include_control: config.include_control,
-                    cosim: config.cosim,
                     ..CampaignConfig::smoke()
                 };
             }
             "--resume" => resume = true,
-            "--cosim" => config.cosim = true,
             "--out" => out = PathBuf::from(cli.value("--out")),
             "--workers" => workers = Some(cli.parse("--workers")),
             "--procs" => procs = Some(cli.parse("--procs")),
@@ -136,21 +134,17 @@ fn main() -> ExitCode {
     let journal = args.out.join("campaign.journal");
     let csv = args.out.join("campaign.csv");
 
-    let run = match args.procs {
+    let executor = match args.procs {
         Some(procs) => {
             println!("process fleet: {procs} workers");
-            run_campaign_cluster(&ClusterConfig::new(procs), cfg, &journal, args.resume, |_, _| {})
+            Executor::Procs(ClusterConfig::new(procs))
         }
         None => {
-            let fleet = match args.workers {
-                Some(n) => Fleet::new(n),
-                None => Fleet::auto(),
-            }
-            .with_progress(true);
-            run_campaign(&fleet, cfg, &journal, args.resume)
+            let fleet = args.workers.map_or_else(Fleet::auto, Fleet::new);
+            Executor::Threads(fleet.with_progress(true))
         }
     };
-    let report = match run {
+    let report = match executor.run_campaign(cfg, &journal, args.resume, |_, _| {}) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("campaign failed: {e}");

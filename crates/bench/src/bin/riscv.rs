@@ -10,16 +10,16 @@
 //!       [--low-vdd]            0.97 V instead of 1.04 V for faulty runs
 //!       [--max-commits N]      per-run commit cap         (default 2 000 000)
 //!       [--out DIR]            result directory           (default bench_results)
-//!       [--cosim]              run each program's schemes as one
-//!                              co-simulation bundle (shared frontend)
 //!       [--procs N]            run on the multi-process sharded fleet
 //! riscv --worker               cluster protocol worker (spawned by --procs)
 //! ```
 //!
-//! Under `--cosim` every per-scheme column is bit-identical to a solo
-//! run (the `tests/cosim_equiv.rs` contract) except `kcommits_per_sec`:
-//! the six lanes share one interleaved wall-clock window, so each row
-//! reports its lane's commits over the *bundle* wall time.
+//! Each program's schemes run as one co-simulation bundle (shared
+//! frontend, one fault-calibration probe). Every per-scheme column is
+//! bit-identical to a solo run (the `tests/cosim_equiv.rs` contract)
+//! except `kcommits_per_sec`: the six lanes share one interleaved
+//! wall-clock window, so each row reports its lane's commits over the
+//! *bundle* wall time.
 //!
 //! Under `--procs N` each program's scheme sweep is one job on the
 //! process fleet; every CSV column except the wall-clock-derived
@@ -46,7 +46,6 @@ struct Args {
     vdd: Voltage,
     max_commits: u64,
     out: PathBuf,
-    cosim: bool,
     procs: Option<usize>,
 }
 
@@ -69,13 +68,12 @@ fn parse_args() -> Args {
         vdd: Voltage::high_fault(),
         max_commits: 2_000_000,
         out: PathBuf::from("bench_results"),
-        cosim: false,
         procs: None,
     };
     let mut cli = Cli::new(
         "riscv",
         "riscv [--workload NAME]... [--seed N] [--low-vdd] [--max-commits N] \
-         [--out DIR] [--cosim] [--procs N] | riscv --worker",
+         [--out DIR] [--procs N] | riscv --worker",
     );
     while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
@@ -90,7 +88,6 @@ fn parse_args() -> Args {
             "--low-vdd" => parsed.vdd = Voltage::low_fault(),
             "--max-commits" => parsed.max_commits = cli.parse("--max-commits"),
             "--out" => parsed.out = PathBuf::from(cli.value("--out")),
-            "--cosim" => parsed.cosim = true,
             "--procs" => parsed.procs = Some(cli.parse("--procs")),
             other => cli.unknown(other),
         }
@@ -141,9 +138,9 @@ fn cell_row(
     )
 }
 
-/// Runs one workload's full scheme sweep (solo or co-sim) to CSV rows,
-/// one per scheme in `Scheme::ALL` order.
-fn workload_rows(workload: &Workload, seed: u64, vdd: Voltage, max_commits: u64, cosim: bool) -> Vec<String> {
+/// Runs one workload's full scheme sweep as one co-sim bundle to CSV
+/// rows, one per scheme in `Scheme::ALL` order.
+fn workload_rows(workload: &Workload, seed: u64, vdd: Voltage, max_commits: u64) -> Vec<String> {
     // Reference end state from the standalone in-order executor.
     let Workload::Riscv { program, .. } = workload else {
         unreachable!("callers admit only RISC-V workloads");
@@ -157,41 +154,22 @@ fn workload_rows(workload: &Workload, seed: u64, vdd: Voltage, max_commits: u64,
         .map(|(a, w)| (u64::from(a), u64::from(w)))
         .collect();
 
-    if cosim {
-        // All six schemes as one bundle: the frontend and the
-        // fault-calibration probe are paid once; per-scheme state is
-        // bit-identical to a solo run by the co-sim contract.
-        let mut cosim = build_cosim(workload, seed, vdd, &Scheme::ALL, |_, b| b.oracle(true));
-        let t0 = Instant::now();
-        let stats = cosim.run_to_halt(max_commits);
-        let wall_s = t0.elapsed().as_secs_f64().max(1e-9);
-        Scheme::ALL
-            .into_iter()
-            .enumerate()
-            .map(|(i, scheme)| {
-                cell_row(
-                    workload, scheme, seed, vdd, &stats[i], wall_s, cosim.lane(i), &ref_regs,
-                    &ref_mem,
-                )
-            })
-            .collect()
-    } else {
-        Scheme::ALL
-            .into_iter()
-            .map(|scheme| {
-                let mut pipe = scheme
-                    .pipeline_builder_for(workload, seed, vdd)
-                    .oracle(true)
-                    .build();
-                let t0 = Instant::now();
-                let stats = pipe.run_to_halt(max_commits);
-                let wall_s = t0.elapsed().as_secs_f64().max(1e-9);
-                cell_row(
-                    workload, scheme, seed, vdd, &stats, wall_s, &pipe, &ref_regs, &ref_mem,
-                )
-            })
-            .collect()
-    }
+    // All six schemes as one bundle: the frontend and the
+    // fault-calibration probe are paid once; per-scheme state is
+    // bit-identical to a solo run by the co-sim contract.
+    let mut cosim = build_cosim(workload, seed, vdd, &Scheme::ALL, |_, b| b.oracle(true));
+    let t0 = Instant::now();
+    let stats = cosim.run_to_halt(max_commits);
+    let wall_s = t0.elapsed().as_secs_f64().max(1e-9);
+    Scheme::ALL
+        .into_iter()
+        .enumerate()
+        .map(|(i, scheme)| {
+            cell_row(
+                workload, scheme, seed, vdd, &stats[i], wall_s, cosim.lane(i), &ref_regs, &ref_mem,
+            )
+        })
+        .collect()
 }
 
 /// Prints the human-readable line for a finished cell row and returns
@@ -233,11 +211,10 @@ fn riscv_ctx(args: &Args) -> Result<String, String> {
         names.push(name);
     }
     Ok(format!(
-        "riscv seed={} vdd={} max={} cosim={} workloads={}",
+        "riscv seed={} vdd={} max={} workloads={}",
         args.seed,
         args.vdd.volts(),
         args.max_commits,
-        u8::from(args.cosim),
         names.join(","),
     ))
 }
@@ -253,7 +230,6 @@ fn parse_riscv_ctx(ctx: &str) -> Result<Args, String> {
         vdd: Voltage::high_fault(),
         max_commits: 2_000_000,
         out: PathBuf::new(),
-        cosim: false,
         procs: None,
     };
     for word in ctx.split_whitespace() {
@@ -270,7 +246,6 @@ fn parse_riscv_ctx(ctx: &str) -> Result<Args, String> {
             "max" => {
                 args.max_commits = value.parse().map_err(|_| format!("bad max: {value}"))?
             }
-            "cosim" => args.cosim = value == "1",
             "workloads" => {
                 args.workloads = value
                     .split(',')
@@ -299,13 +274,7 @@ fn main() -> ExitCode {
                 .workloads
                 .get(wi)
                 .ok_or_else(|| format!("workload index out of range: {wi}"))?;
-            Ok(workload_rows(
-                workload,
-                args.seed,
-                args.vdd,
-                args.max_commits,
-                args.cosim,
-            ))
+            Ok(workload_rows(workload, args.seed, args.vdd, args.max_commits))
         });
     }
 
@@ -348,13 +317,7 @@ fn main() -> ExitCode {
         }
     } else {
         for (i, workload) in args.workloads.iter().enumerate() {
-            groups[i] = Some(workload_rows(
-                workload,
-                args.seed,
-                args.vdd,
-                args.max_commits,
-                args.cosim,
-            ));
+            groups[i] = Some(workload_rows(workload, args.seed, args.vdd, args.max_commits));
         }
     }
 

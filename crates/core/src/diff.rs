@@ -21,6 +21,7 @@ use tv_audit::AuditLevel;
 use tv_timing::Voltage;
 use tv_workloads::Benchmark;
 
+use crate::cosim::build_cosim;
 use crate::fleet::Fleet;
 use crate::schemes::Scheme;
 use crate::workload::Workload;
@@ -80,12 +81,6 @@ pub struct DiffConfig {
     /// Also run the golden-model oracle and record its verdict per run
     /// (default: off; the synthetic golden CSVs predate the field).
     pub oracle: bool,
-    /// Run each tuple's schemes as one co-simulation job (shared frontend,
-    /// N timing lanes) instead of `schemes.len()` solo jobs. Results are
-    /// bit-identical either way (the contract `tests/cosim_equiv.rs`
-    /// pins); co-sim pays frontend and fault-calibration cost once per
-    /// tuple. Default: off, matching the historical job shape.
-    pub cosim: bool,
 }
 
 impl Default for DiffConfig {
@@ -96,7 +91,6 @@ impl Default for DiffConfig {
             audit: AuditLevel::Full,
             schemes: Scheme::ALL.to_vec(),
             oracle: false,
-            cosim: false,
         }
     }
 }
@@ -171,68 +165,67 @@ pub(crate) fn stream_hash(log: &[(u64, u64, u8)]) -> u64 {
     h
 }
 
-pub(crate) fn run_one(tuple: &DiffTuple, scheme: Scheme, cfg: &DiffConfig) -> DiffRun {
-    let mut builder = scheme
-        .pipeline_builder_for(&tuple.workload, tuple.seed, tuple.vdd)
-        .record_commits(true)
-        .oracle(cfg.oracle);
-    if cfg.audit.enabled() {
-        builder = builder.audit(cfg.audit);
-    }
-    let mut pipe = builder.build();
+/// One tuple's differential runs: one co-sim bundle (shared frontend,
+/// one lane per configured scheme), one [`DiffRun`] per scheme in scheme
+/// order — each bit-identical to a solo run of that scheme.
+pub(crate) fn diff_runs(tuple: &DiffTuple, cfg: &DiffConfig) -> Vec<DiffRun> {
+    let mut cosim = build_cosim(&tuple.workload, tuple.seed, tuple.vdd, &cfg.schemes, |_, b| {
+        let b = b.record_commits(true).oracle(cfg.oracle);
+        if cfg.audit.enabled() {
+            b.audit(cfg.audit)
+        } else {
+            b
+        }
+    });
     // Finite programs run start-to-halt (warming up would consume the
     // program); synthetic streams warm up then measure, as the golden
     // CSVs were produced.
     let stats = if tuple.workload.is_riscv() {
-        pipe.run_to_halt(cfg.commits)
+        cosim.run_to_halt(cfg.commits)
     } else {
-        pipe.warm_up(cfg.warmup);
-        pipe.run(cfg.commits)
+        cosim.warm_up(cfg.warmup);
+        cosim.run(cfg.commits)
     };
-    let log = pipe.commit_log().expect("recording enabled");
-    let report = pipe.audit_report();
-    DiffRun {
-        workload: tuple.workload.name(),
-        vdd: tuple.vdd,
-        seed: tuple.seed,
-        scheme,
-        commits: log.len() as u64,
-        cycles: stats.cycles,
-        stream_hash: stream_hash(log),
-        audit_cycles: report.as_ref().map_or(0, |r| r.cycles),
-        audit_checks: report.as_ref().map_or(0, |r| r.checks),
-        audit_violations: report.as_ref().map_or(0, |r| r.violations_total),
-        first_violation: report
-            .as_ref()
-            .and_then(|r| r.violations.first())
-            .map(|v| format!("cycle {}: {}: {}", v.cycle, v.invariant, v.detail)),
-        oracle_clean: pipe.oracle_report().map(|r| r.clean()),
-    }
+    cfg.schemes
+        .iter()
+        .zip(stats)
+        .enumerate()
+        .map(|(i, (&scheme, stats))| {
+            let pipe = cosim.lane(i);
+            let log = pipe.commit_log().expect("recording enabled");
+            let report = pipe.audit_report();
+            DiffRun {
+                workload: tuple.workload.name(),
+                vdd: tuple.vdd,
+                seed: tuple.seed,
+                scheme,
+                commits: log.len() as u64,
+                cycles: stats.cycles,
+                stream_hash: stream_hash(log),
+                audit_cycles: report.as_ref().map_or(0, |r| r.cycles),
+                audit_checks: report.as_ref().map_or(0, |r| r.checks),
+                audit_violations: report.as_ref().map_or(0, |r| r.violations_total),
+                first_violation: report
+                    .as_ref()
+                    .and_then(|r| r.violations.first())
+                    .map(|v| format!("cycle {}: {}: {}", v.cycle, v.invariant, v.detail)),
+                oracle_clean: pipe.oracle_report().map(|r| r.clean()),
+            }
+        })
+        .collect()
 }
 
-/// Runs every tuple under every configured scheme on `fleet` and checks
-/// scheme equivalence. Results come back in submission order (tuples outer,
-/// schemes inner), bit-identical at any worker count.
+/// Runs every tuple under every configured scheme on `fleet` — one
+/// co-sim bundle per tuple — and checks scheme equivalence. Results come
+/// back in submission order (tuples outer, schemes inner), bit-identical
+/// at any worker count.
 pub fn run_differential(fleet: &Fleet, tuples: &[DiffTuple], cfg: &DiffConfig) -> DiffReport {
-    let runs = if cfg.cosim {
-        // One job per tuple: all schemes share a frontend; the job yields
-        // the same rows in the same (tuples outer, schemes inner) order.
-        fleet
-            .map(tuples.to_vec(), |tuple| crate::cosim::diff_runs(tuple, cfg))
-            .results
-            .into_iter()
-            .flatten()
-            .collect()
-    } else {
-        let items: Vec<(DiffTuple, Scheme)> = tuples
-            .iter()
-            .flat_map(|t| cfg.schemes.iter().map(|&s| (t.clone(), s)))
-            .collect();
-        fleet
-            .map(items, |(tuple, scheme)| run_one(tuple, *scheme, cfg))
-            .results
-    };
-
+    let runs = fleet
+        .map(tuples.to_vec(), |tuple| diff_runs(tuple, cfg))
+        .results
+        .into_iter()
+        .flatten()
+        .collect();
     report_from_runs(runs, cfg)
 }
 
@@ -290,7 +283,6 @@ mod tests {
             audit: AuditLevel::Basic,
             schemes: vec![Scheme::FaultFree, Scheme::Razor],
             oracle: false,
-            cosim: false,
         };
         let tuples = [DiffTuple {
             workload: Workload::Bench(Benchmark::Gcc),
@@ -315,7 +307,6 @@ mod tests {
             audit: AuditLevel::Basic,
             schemes,
             oracle: true,
-            cosim: false,
         };
         let tuples = [DiffTuple {
             workload: Workload::builtin("hazard_raw").unwrap(),

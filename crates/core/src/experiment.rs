@@ -176,11 +176,6 @@ impl Experiment {
         self.run_schemes_on(&Fleet::auto(), schemes)
     }
 
-    /// Runs all six schemes on the given engine.
-    pub fn run_all_on(&self, fleet: &Fleet) -> Evaluation {
-        self.run_schemes_on(fleet, &Scheme::ALL)
-    }
-
     /// Runs a subset of schemes on the given engine (the fault-free
     /// baseline is always added).
     pub fn run_schemes_on(&self, fleet: &Fleet, schemes: &[Scheme]) -> Evaluation {

@@ -13,8 +13,9 @@
 //!   the CSV an offline `campaign` run with the same spec writes;
 //! * a key in flight is *coalesced* — the request blocks on the running
 //!   execution instead of starting its own;
-//! * a fresh key executes once on the shared [`Fleet`], streaming
-//!   verdict rows to the requesting client as they complete and
+//! * a fresh key executes once on the server's [`Executor`] (worker
+//!   threads, or worker processes with `procs > 0`), streaming verdict
+//!   rows to the requesting client as each tuple's bundle completes and
 //!   atomically publishing the finished CSV for everyone after.
 //!
 //! Everything is `std`-only (the workspace builds offline): the HTTP
@@ -32,7 +33,7 @@
 //! server.wait(); // until POST /shutdown
 //! ```
 //!
-//! [`Fleet`]: tv_core::Fleet
+//! [`Executor`]: tv_core::Executor
 
 pub mod http;
 pub mod json;

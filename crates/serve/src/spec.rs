@@ -23,8 +23,9 @@ use crate::json::Json;
 /// Parses a `POST /campaign` body into a campaign configuration.
 ///
 /// An empty body selects the smoke base unchanged. `cosim` is accepted
-/// and honoured for execution but — like the underlying journal
-/// fingerprint — does not change the experiment's identity or store key.
+/// (it must be a bool) and ignored: every campaign runs one
+/// co-simulation bundle per tuple, so it names no part of the
+/// experiment or its store key.
 ///
 /// # Errors
 ///
@@ -76,7 +77,7 @@ pub fn parse_spec(body: &[u8]) -> Result<CampaignConfig, String> {
                 config.include_control = bool_field(value, key)?;
             }
             "cosim" => {
-                config.cosim = bool_field(value, key)?;
+                bool_field(value, key)?;
             }
             unknown => {
                 return Err(format!(
@@ -147,14 +148,15 @@ mod tests {
         assert_eq!(cfg.warmup, 1_000);
         assert_eq!(cfg.watchdog_cycles, 200_000);
         assert!(!cfg.include_control);
-        assert!(cfg.cosim);
     }
 
     #[test]
-    fn cosim_does_not_change_the_experiment_identity() {
-        let solo = parse_spec(br#"{"tuples": 4}"#).expect("solo");
-        let cosim = parse_spec(br#"{"tuples": 4, "cosim": true}"#).expect("cosim");
-        assert_eq!(solo.store_key(), cosim.store_key());
+    fn cosim_is_accepted_as_a_no_op() {
+        let plain = parse_spec(br#"{"tuples": 4}"#).expect("plain");
+        for body in [&br#"{"tuples": 4, "cosim": true}"#[..], br#"{"tuples": 4, "cosim": false}"#] {
+            assert_eq!(parse_spec(body).expect("cosim"), plain);
+        }
+        assert!(parse_spec(br#"{"cosim": 1}"#).is_err(), "still type-checked");
     }
 
     #[test]

@@ -51,7 +51,12 @@
 //!   in bounded chunks toward shared commit milestones, so chunked
 //!   stepping executes the very same `step()` sequence a solo run would;
 //! * watchdog bookkeeping is carried per lane across chunks, reproducing
-//!   the solo watchdog window.
+//!   the solo watchdog window;
+//! * a lane whose watchdog trips stops where it tripped, exactly where a
+//!   solo `try_run` returns its error: it runs no later chunk or phase and
+//!   gets no `finish_phase`/`reset_stats`, so its statistics, oracle
+//!   report and dump are the solo run's. It also stops holding back the
+//!   shared memo, and its siblings run on to their phase targets.
 //!
 //! `tests/cosim_equiv.rs` pins the contract over a grid of synthetic
 //! tuples and every RISC-V builtin.
@@ -135,7 +140,8 @@ pub struct SharedFrontend {
     buf: VecDeque<SharedEntry>,
     /// Sequence number of `buf[0]`; `u64::MAX` until the first pull.
     base: u64,
-    /// Per-cursor next sequence number.
+    /// Per-cursor next sequence number; `u64::MAX` once the cursor's lane
+    /// has wedged and released its hold.
     positions: Vec<u64>,
     /// The source ended; no further entries will ever exist.
     done: bool,
@@ -202,7 +208,14 @@ impl SharedFrontend {
         })
     }
 
-    /// Drops memo entries every lane has consumed (called between chunks).
+    /// Stops cursor `id` holding back [`reclaim`](Self::reclaim): its
+    /// lane has wedged and will never fetch again.
+    fn release(&mut self, id: usize) {
+        self.positions[id] = u64::MAX;
+    }
+
+    /// Drops memo entries every live lane has consumed (called between
+    /// chunks).
     fn reclaim(&mut self) {
         let min = self.positions.iter().copied().min().unwrap_or(self.base);
         while self.base < min && !self.buf.is_empty() {
@@ -226,29 +239,23 @@ impl SharedCursor {
     }
 }
 
-/// A watchdog trip inside a co-sim, attributed to the lane that stalled.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoSimError {
-    /// Index of the lane (in `CoSim::build` order) that tripped.
-    pub lane: usize,
-    /// The solo-identical diagnostic dump.
-    pub error: WatchdogError,
-}
-
-impl std::fmt::Display for CoSimError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "lane {}: {}", self.lane, self.error)
-    }
-}
-
-impl std::error::Error for CoSimError {}
-
 struct Lane {
     pipe: Pipeline,
     /// Watchdog bookkeeping carried across chunks; reset at phase starts,
     /// exactly mirroring the locals of a solo `try_run`.
     wd_last_commit_cycle: u64,
     wd_last_committed: u64,
+    /// The solo-identical dump of the watchdog trip that stopped this
+    /// lane for good; `None` while the lane runs. Boxed to keep the
+    /// lanes' stride unchanged by a field that is almost always `None`.
+    wedged: Option<Box<WatchdogError>>,
+}
+
+impl Lane {
+    /// This lane's outcome so far: its wedge dump, or `ok`.
+    fn outcome<T>(&self, ok: impl FnOnce() -> T) -> Result<T, WatchdogError> {
+        self.wedged.as_deref().cloned().map_or_else(|| Ok(ok()), Err)
+    }
 }
 
 /// Drives N per-scheme [`Pipeline`] lanes against one [`SharedFrontend`]
@@ -339,6 +346,7 @@ impl CoSim {
                     pipe: b.build_with(Feed::Shared(cursor), lane_fm),
                     wd_last_commit_cycle: 0,
                     wd_last_committed: 0,
+                    wedged: None,
                 }
             })
             .collect();
@@ -360,15 +368,17 @@ impl CoSim {
         &self.lanes[i].pipe
     }
 
-    /// The lanes' pipelines, in build order.
-    pub fn pipelines(&self) -> impl Iterator<Item = &Pipeline> {
-        self.lanes.iter().map(|l| &l.pipe)
-    }
-
     /// Instructions the shared frontend pulled from the source — the work
     /// paid once instead of N times.
     pub fn shared_pulls(&self) -> u64 {
         self.shared.borrow().pulled
+    }
+
+    /// Frontend records memoized for live lanes that have yet to fetch
+    /// them. A wedged lane holds none back, so this stays near one chunk
+    /// plus the in-flight window however far its siblings run on.
+    pub fn memo_len(&self) -> usize {
+        self.shared.borrow().buf.len()
     }
 
     /// Warms every lane by `commits` instructions, then resets statistics —
@@ -378,26 +388,25 @@ impl CoSim {
     ///
     /// Panics if any lane deadlocks.
     pub fn warm_up(&mut self, commits: u64) {
-        self.try_warm_up(commits)
-            .unwrap_or_else(|e| panic!("pipeline deadlock: {e}"))
+        for outcome in self.try_warm_up(commits) {
+            outcome.unwrap_or_else(|e| panic!("pipeline deadlock: {e}"));
+        }
     }
 
-    /// Fallible [`warm_up`](CoSim::warm_up).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first stalled lane's watchdog dump.
-    pub fn try_warm_up(&mut self, commits: u64) -> Result<(), CoSimError> {
-        if commits == 0 {
-            return Ok(());
+    /// Fallible [`warm_up`](CoSim::warm_up): one outcome per lane, in
+    /// build order. A lane that wedges keeps its warm-up statistics
+    /// unreset, as a solo `try_run` of the warm-up leaves them, and every
+    /// later phase returns the same dump for it.
+    pub fn try_warm_up(&mut self, commits: u64) -> Vec<Result<(), WatchdogError>> {
+        if commits > 0 {
+            self.drive(commits, false);
+            for lane in self.lanes.iter_mut().filter(|l| l.wedged.is_none()) {
+                // Same sequence as a solo warm_up: run() finalizes, then resets.
+                lane.pipe.finish_phase();
+                lane.pipe.reset_stats();
+            }
         }
-        self.drive(commits, false)?;
-        for lane in &mut self.lanes {
-            // Same sequence as a solo warm_up: run() finalizes, then resets.
-            lane.pipe.finish_phase();
-            lane.pipe.reset_stats();
-        }
-        Ok(())
+        self.lanes.iter().map(|lane| lane.outcome(|| ())).collect()
     }
 
     /// Runs every lane until exactly `commits` more instructions retire
@@ -408,18 +417,15 @@ impl CoSim {
     ///
     /// Panics if any lane deadlocks.
     pub fn run(&mut self, commits: u64) -> Vec<SimStats> {
-        self.try_run(commits)
-            .unwrap_or_else(|e| panic!("pipeline deadlock: {e}"))
+        Self::expect_live(self.try_run(commits))
     }
 
-    /// Fallible [`run`](CoSim::run).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first stalled lane's watchdog dump.
-    pub fn try_run(&mut self, commits: u64) -> Result<Vec<SimStats>, CoSimError> {
-        self.drive(commits, false)?;
-        Ok(self.finish())
+    /// Fallible [`run`](CoSim::run): one outcome per lane, in build order.
+    /// A wedged lane's error is the dump a solo `try_run` returns; its
+    /// siblings still run to the target.
+    pub fn try_run(&mut self, commits: u64) -> Vec<Result<SimStats, WatchdogError>> {
+        self.drive(commits, false);
+        self.finish()
     }
 
     /// Runs every lane to its workload's halt (or `max_commits`, whichever
@@ -429,43 +435,53 @@ impl CoSim {
     ///
     /// Panics if any lane deadlocks.
     pub fn run_to_halt(&mut self, max_commits: u64) -> Vec<SimStats> {
-        self.try_run_to_halt(max_commits)
-            .unwrap_or_else(|e| panic!("pipeline deadlock: {e}"))
+        Self::expect_live(self.try_run_to_halt(max_commits))
     }
 
-    /// Fallible [`run_to_halt`](CoSim::run_to_halt).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first stalled lane's watchdog dump.
-    pub fn try_run_to_halt(&mut self, max_commits: u64) -> Result<Vec<SimStats>, CoSimError> {
-        self.drive(max_commits, true)?;
-        Ok(self.finish())
+    /// Fallible [`run_to_halt`](CoSim::run_to_halt), one outcome per lane
+    /// as in [`try_run`](CoSim::try_run).
+    pub fn try_run_to_halt(&mut self, max_commits: u64) -> Vec<Result<SimStats, WatchdogError>> {
+        self.drive(max_commits, true);
+        self.finish()
     }
 
-    fn finish(&mut self) -> Vec<SimStats> {
+    fn expect_live(outcomes: Vec<Result<SimStats, WatchdogError>>) -> Vec<SimStats> {
+        outcomes
+            .into_iter()
+            .map(|o| o.unwrap_or_else(|e| panic!("pipeline deadlock: {e}")))
+            .collect()
+    }
+
+    fn finish(&mut self) -> Vec<Result<SimStats, WatchdogError>> {
         self.lanes
             .iter_mut()
             .map(|lane| {
-                lane.pipe.finish_phase();
-                lane.pipe.stats().clone()
+                if lane.wedged.is_none() {
+                    lane.pipe.finish_phase();
+                }
+                lane.outcome(|| lane.pipe.stats().clone())
             })
             .collect()
     }
 
-    /// One run phase: set every lane's commit limit to the phase-final
-    /// target (once — mid-phase clamps would change retire behaviour at
-    /// chunk boundaries vs a solo run), then advance lanes in bounded
-    /// chunks toward shared commit milestones, reclaiming drained memo
-    /// entries between chunks.
-    fn drive(&mut self, commits: u64, to_halt: bool) -> Result<(), CoSimError> {
-        let start = self.lanes[0].pipe.stats().committed;
-        debug_assert!(
-            self.lanes.iter().all(|l| l.pipe.stats().committed == start),
-            "lanes drift between phases"
-        );
+    /// One run phase over the live lanes: set each one's commit limit to
+    /// the phase-final target (once — mid-phase clamps would change retire
+    /// behaviour at chunk boundaries vs a solo run), then advance them in
+    /// bounded chunks toward shared commit milestones, reclaiming drained
+    /// memo entries between chunks. A lane whose watchdog trips stops
+    /// there for good and releases its hold on the memo.
+    fn drive(&mut self, commits: u64, to_halt: bool) {
+        let Some(start) = self
+            .lanes
+            .iter()
+            .find(|l| l.wedged.is_none())
+            .map(|l| l.pipe.stats().committed)
+        else {
+            return;
+        };
         let target = start.saturating_add(commits);
-        for lane in &mut self.lanes {
+        for lane in self.lanes.iter_mut().filter(|l| l.wedged.is_none()) {
+            debug_assert_eq!(lane.pipe.stats().committed, start, "lanes drift between phases");
             lane.pipe.set_commit_limit(target);
             lane.wd_last_commit_cycle = lane.pipe.cycle();
             lane.wd_last_committed = lane.pipe.stats().committed;
@@ -474,22 +490,28 @@ impl CoSim {
         loop {
             milestone = milestone.saturating_add(CHUNK_COMMITS).min(target);
             let mut all_done = true;
-            for (i, lane) in self.lanes.iter_mut().enumerate() {
-                lane.pipe
-                    .step_toward(
-                        milestone,
-                        to_halt,
-                        &mut lane.wd_last_commit_cycle,
-                        &mut lane.wd_last_committed,
-                    )
-                    .map_err(|error| CoSimError { lane: i, error })?;
-                if lane.pipe.stats().committed < target && !(to_halt && lane.pipe.drained()) {
+            for (id, lane) in self.lanes.iter_mut().enumerate() {
+                if lane.wedged.is_some() {
+                    continue;
+                }
+                let stepped = lane.pipe.step_toward(
+                    milestone,
+                    to_halt,
+                    &mut lane.wd_last_commit_cycle,
+                    &mut lane.wd_last_committed,
+                );
+                if let Err(e) = stepped {
+                    lane.wedged = Some(Box::new(e));
+                    self.shared.borrow_mut().release(id);
+                } else if lane.pipe.stats().committed < target
+                    && !(to_halt && lane.pipe.drained())
+                {
                     all_done = false;
                 }
             }
             self.shared.borrow_mut().reclaim();
             if all_done {
-                return Ok(());
+                return;
             }
         }
     }

@@ -60,7 +60,7 @@ mod values;
 pub mod watchdog;
 
 pub use config::{CoreConfig, LaneKind, RecoveryModel};
-pub use cosim::{CoSim, CoSimError};
+pub use cosim::CoSim;
 pub use inflight::InFlightInst;
 pub use pipeline::{Pipeline, PipelineBuilder, ToleranceMode};
 pub use tv_audit::{AuditLevel, AuditReport};

@@ -29,7 +29,6 @@ fn all_schemes_commit_identical_streams_under_full_audit() {
         audit: AuditLevel::Full,
         schemes: Scheme::ALL.to_vec(),
         oracle: false,
-        cosim: false,
     };
     let report = run_differential(&Fleet::auto(), &tuples, &cfg);
 
@@ -72,7 +71,6 @@ fn riscv_program_streams_match_and_control_is_caught() {
         audit: AuditLevel::Full,
         schemes: schemes.clone(),
         oracle: true,
-        cosim: false,
     };
     let tuples = [DiffTuple {
         workload: Workload::builtin("checksum").expect("built-in program"),
@@ -120,7 +118,6 @@ fn differential_hashes_distinguish_tuples() {
         audit: AuditLevel::Basic,
         schemes: vec![Scheme::FaultFree],
         oracle: false,
-        cosim: false,
     };
     let gcc = Workload::Bench(Benchmark::Gcc);
     let astar = Workload::Bench(Benchmark::Astar);
