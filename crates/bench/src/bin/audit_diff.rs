@@ -15,9 +15,6 @@
 //! --workload NAME   diff a single workload instead of the benchmark sweep;
 //!                   NAME is a benchmark or riscv:<program|file.asm>, and
 //!                   RISC-V workloads also run the golden-model oracle
-//! --procs N         run on the multi-process sharded fleet (one job per
-//!                   tuple; report identical to the in-process run)
-//! --worker          cluster protocol worker mode (spawned by --procs)
 //! ```
 //!
 //! Exits non-zero on any stream mismatch or invariant violation.
@@ -26,10 +23,7 @@ use std::path::PathBuf;
 
 use tv_bench::harness::Cli;
 use tv_bench::write_csv;
-use tv_core::{
-    run_differential, run_differential_cluster, ClusterConfig, DiffConfig, DiffTuple, Fleet,
-    Scheme, Workload,
-};
+use tv_core::{run_differential, DiffConfig, DiffTuple, Fleet, Scheme, Workload};
 use tv_timing::Voltage;
 use tv_uarch::AuditLevel;
 use tv_workloads::Benchmark;
@@ -43,7 +37,6 @@ struct Args {
     audit: AuditLevel,
     fast: bool,
     workload: Option<Workload>,
-    procs: Option<usize>,
 }
 
 fn parse_args() -> Args {
@@ -56,12 +49,11 @@ fn parse_args() -> Args {
         audit: AuditLevel::Full,
         fast: false,
         workload: None,
-        procs: None,
     };
     let mut cli = Cli::new(
         "audit_diff",
         "audit_diff [--commits N] [--warmup N] [--seed N] [--out DIR] [--workers N] \
-         [--basic] [--fast] [--workload NAME] [--procs N] | audit_diff --worker",
+         [--basic] [--fast] [--workload NAME]",
     );
     while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
@@ -79,7 +71,6 @@ fn parse_args() -> Args {
                     Err(e) => cli.fail(&format!("--workload: {e}")),
                 }
             }
-            "--procs" => parsed.procs = Some(cli.parse("--procs")),
             other => cli.unknown(other),
         }
     }
@@ -87,11 +78,6 @@ fn parse_args() -> Args {
 }
 
 fn main() -> std::process::ExitCode {
-    // Worker mode speaks the cluster protocol on stdin/stdout and must
-    // be dispatched before anything can print to stdout.
-    if std::env::args().nth(1).as_deref() == Some("--worker") {
-        return tv_core::diff_worker();
-    }
     let args = parse_args();
     let seeds = [args.seed, args.seed + 1];
     let oracle = args.workload.as_ref().is_some_and(Workload::is_riscv);
@@ -142,23 +128,12 @@ fn main() -> std::process::ExitCode {
         args.audit,
     );
 
-    let report = if let Some(procs) = args.procs {
-        println!("process fleet: {procs} workers");
-        match run_differential_cluster(&ClusterConfig::new(procs), &tuples, &cfg) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("audit_diff cluster run failed: {e}");
-                return std::process::ExitCode::FAILURE;
-            }
-        }
-    } else {
-        let fleet = match args.workers {
-            Some(n) => Fleet::new(n),
-            None => Fleet::auto(),
-        }
-        .with_progress(true);
-        run_differential(&fleet, &tuples, &cfg)
-    };
+    let fleet = match args.workers {
+        Some(n) => Fleet::new(n),
+        None => Fleet::auto(),
+    }
+    .with_progress(true);
+    let report = run_differential(&fleet, &tuples, &cfg);
 
     let mut rows = Vec::new();
     for group in report.runs.chunks(cfg.schemes.len()) {

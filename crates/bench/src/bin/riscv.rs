@@ -10,8 +10,6 @@
 //!       [--low-vdd]            0.97 V instead of 1.04 V for faulty runs
 //!       [--max-commits N]      per-run commit cap         (default 2 000 000)
 //!       [--out DIR]            result directory           (default bench_results)
-//!       [--procs N]            run on the multi-process sharded fleet
-//! riscv --worker               cluster protocol worker (spawned by --procs)
 //! ```
 //!
 //! Each program's schemes run as one co-simulation bundle (shared
@@ -20,10 +18,6 @@
 //! except `kcommits_per_sec`: the six lanes share one interleaved
 //! wall-clock window, so each row reports its lane's commits over the
 //! *bundle* wall time.
-//!
-//! Under `--procs N` each program's scheme sweep is one job on the
-//! process fleet; every CSV column except the wall-clock-derived
-//! `kcommits_per_sec` is bit-identical to the serial run.
 //!
 //! Writes one CSV row per `(workload, scheme)` cell to `riscv.csv` and
 //! exits non-zero when any cell is not oracle-clean or its committed
@@ -35,7 +29,7 @@ use std::time::Instant;
 
 use tv_bench::harness::Cli;
 use tv_bench::write_csv;
-use tv_core::{build_cosim, run_groups, worker_loop, ClusterConfig, Scheme, Workload};
+use tv_core::{build_cosim, Scheme, Workload};
 use tv_timing::Voltage;
 use tv_uarch::{Pipeline, SimStats};
 use tv_workloads::riscv::RiscvMachine;
@@ -46,7 +40,6 @@ struct Args {
     vdd: Voltage,
     max_commits: u64,
     out: PathBuf,
-    procs: Option<usize>,
 }
 
 fn parse_workload(name: &str) -> Result<Workload, String> {
@@ -68,12 +61,11 @@ fn parse_args() -> Args {
         vdd: Voltage::high_fault(),
         max_commits: 2_000_000,
         out: PathBuf::from("bench_results"),
-        procs: None,
     };
     let mut cli = Cli::new(
         "riscv",
         "riscv [--workload NAME]... [--seed N] [--low-vdd] [--max-commits N] \
-         [--out DIR] [--procs N] | riscv --worker",
+         [--out DIR]",
     );
     while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
@@ -88,7 +80,6 @@ fn parse_args() -> Args {
             "--low-vdd" => parsed.vdd = Voltage::low_fault(),
             "--max-commits" => parsed.max_commits = cli.parse("--max-commits"),
             "--out" => parsed.out = PathBuf::from(cli.value("--out")),
-            "--procs" => parsed.procs = Some(cli.parse("--procs")),
             other => cli.unknown(other),
         }
     }
@@ -101,9 +92,7 @@ fn parse_args() -> Args {
     parsed
 }
 
-/// Renders one `(workload, scheme)` cell as its CSV row — pure, no
-/// printing, so it can run inside a cluster worker whose stdout is the
-/// protocol channel.
+/// Renders one `(workload, scheme)` cell as its CSV row.
 #[allow(clippy::too_many_arguments)]
 fn cell_row(
     workload: &Workload,
@@ -197,87 +186,7 @@ fn print_and_grade(row: &str) -> bool {
     oracle_clean && regs_match && mem_match
 }
 
-/// Serializes the sweep as a one-line cluster worker context.
-fn riscv_ctx(args: &Args) -> Result<String, String> {
-    let mut names = Vec::with_capacity(args.workloads.len());
-    for w in &args.workloads {
-        let name = w.name();
-        if name.contains(|c: char| c.is_whitespace() || c == ',') {
-            return Err(format!(
-                "workload name `{name}` cannot cross the cluster protocol \
-                 (contains whitespace or `,`)"
-            ));
-        }
-        names.push(name);
-    }
-    Ok(format!(
-        "riscv seed={} vdd={} max={} workloads={}",
-        args.seed,
-        args.vdd.volts(),
-        args.max_commits,
-        names.join(","),
-    ))
-}
-
-/// Parses a [`riscv_ctx`] line back into worker-side parameters.
-fn parse_riscv_ctx(ctx: &str) -> Result<Args, String> {
-    let ctx = ctx
-        .strip_prefix("riscv ")
-        .ok_or_else(|| format!("not a riscv ctx: {ctx}"))?;
-    let mut args = Args {
-        workloads: Vec::new(),
-        seed: 42,
-        vdd: Voltage::high_fault(),
-        max_commits: 2_000_000,
-        out: PathBuf::new(),
-        procs: None,
-    };
-    for word in ctx.split_whitespace() {
-        let (key, value) = word
-            .split_once('=')
-            .ok_or_else(|| format!("malformed ctx word: {word}"))?;
-        match key {
-            "seed" => args.seed = value.parse().map_err(|_| format!("bad seed: {value}"))?,
-            "vdd" => {
-                args.vdd = Voltage::new(
-                    value.parse::<f64>().map_err(|_| format!("bad vdd: {value}"))?,
-                )
-            }
-            "max" => {
-                args.max_commits = value.parse().map_err(|_| format!("bad max: {value}"))?
-            }
-            "workloads" => {
-                args.workloads = value
-                    .split(',')
-                    .filter(|n| !n.is_empty())
-                    .map(parse_workload)
-                    .collect::<Result<_, _>>()?;
-            }
-            other => return Err(format!("unknown ctx field: {other}")),
-        }
-    }
-    if args.workloads.is_empty() {
-        return Err("riscv ctx carries no workloads".to_string());
-    }
-    Ok(args)
-}
-
 fn main() -> ExitCode {
-    // Worker mode speaks the cluster protocol on stdin/stdout and must
-    // be dispatched before anything can print to stdout.
-    if std::env::args().nth(1).as_deref() == Some("--worker") {
-        return worker_loop(parse_riscv_ctx, |args: &Args, spec| {
-            let wi: usize = spec
-                .parse()
-                .map_err(|_| format!("bad workload index: {spec}"))?;
-            let workload = args
-                .workloads
-                .get(wi)
-                .ok_or_else(|| format!("workload index out of range: {wi}"))?;
-            Ok(workload_rows(workload, args.seed, args.vdd, args.max_commits))
-        });
-    }
-
     let args = parse_args();
     println!(
         "RISC-V pipeline runner — {} programs x {} schemes, seed {}, {:.3} V faulty",
@@ -287,44 +196,10 @@ fn main() -> ExitCode {
         args.vdd.volts(),
     );
 
-    // One job per program: the full scheme sweep, reassembled in
-    // submission order so the CSV matches the serial run row-for-row.
-    let mut groups: Vec<Option<Vec<String>>> = vec![None; args.workloads.len()];
-    if let Some(procs) = args.procs {
-        println!("process fleet: {procs} workers");
-        let ctx = match riscv_ctx(&args) {
-            Ok(ctx) => ctx,
-            Err(e) => {
-                eprintln!("riscv --procs: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let specs: Vec<String> = (0..args.workloads.len()).map(|i| i.to_string()).collect();
-        let run = run_groups(&ClusterConfig::new(procs), &ctx, &specs, |gid, rows| {
-            if rows.len() != Scheme::ALL.len() {
-                return Err(format!(
-                    "workload {gid} returned {} rows for {} schemes",
-                    rows.len(),
-                    Scheme::ALL.len(),
-                ));
-            }
-            groups[gid] = Some(rows.to_vec());
-            Ok(())
-        });
-        if let Err(e) = run {
-            eprintln!("riscv cluster run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    } else {
-        for (i, workload) in args.workloads.iter().enumerate() {
-            groups[i] = Some(workload_rows(workload, args.seed, args.vdd, args.max_commits));
-        }
-    }
-
     let mut rows = Vec::new();
     let mut failed = false;
-    for group in groups {
-        for row in group.expect("every workload produced rows") {
+    for workload in &args.workloads {
+        for row in workload_rows(workload, args.seed, args.vdd, args.max_commits) {
             failed |= !print_and_grade(&row);
             rows.push(row);
         }

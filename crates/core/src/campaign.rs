@@ -59,6 +59,7 @@ use std::fs::OpenOptions;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
 use tv_prng::crc32;
 use tv_timing::{FaultCalibration, SensorModel, Voltage};
@@ -66,7 +67,7 @@ use tv_uarch::{CoSim, CoreConfig, OracleReport, PipelineBuilder, SimStats};
 use tv_workloads::{Benchmark, Profile};
 
 use crate::chaos::ChaosIo;
-use crate::cluster::{run_groups, ClusterConfig};
+use crate::cluster::{run_groups, worker_loop, ClusterConfig};
 use crate::fleet::{Fleet, FleetStats, JobTiming};
 use crate::persist::{fnv1a, fnv1a_word, write_atomic_str};
 use crate::schemes::Scheme;
@@ -384,14 +385,19 @@ impl CampaignConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed or missing field.
+    /// Returns a description of the first malformed, unknown or repeated
+    /// field, or of a missing one: each of the seven keys must appear
+    /// exactly once.
     pub fn from_ctx(ctx: &str) -> Result<CampaignConfig, String> {
         let mut cfg = CampaignConfig::full();
-        let mut seen = 0u32;
+        let mut seen: Vec<&str> = Vec::with_capacity(7);
         for word in ctx.split_whitespace() {
             let (key, value) = word
                 .split_once('=')
                 .ok_or_else(|| format!("malformed ctx word: {word}"))?;
+            if seen.contains(&key) {
+                return Err(format!("repeated ctx field: {key}"));
+            }
             let num = |what: &str| -> Result<u64, String> {
                 value
                     .parse::<u64>()
@@ -407,10 +413,10 @@ impl CampaignConfig {
                 "riscv" => cfg.riscv_tuples = num("riscv")? as usize,
                 other => return Err(format!("unknown ctx field: {other}")),
             }
-            seen += 1;
+            seen.push(key);
         }
-        if seen != 7 {
-            return Err(format!("campaign ctx needs 7 fields, got {seen}"));
+        if seen.len() != 7 {
+            return Err(format!("campaign ctx needs 7 fields, got {}", seen.len()));
         }
         Ok(cfg)
     }
@@ -990,8 +996,7 @@ impl Executor {
                     .iter()
                     .map(|g| g.iter().map(ToString::to_string).collect::<Vec<_>>().join(","))
                     .collect();
-                let ctx = format!("campaign {}", config.to_ctx());
-                let stats = run_groups(cluster, &ctx, &specs, |gid, group_rows| {
+                let stats = run_groups(cluster, &worker_ctx(config), &specs, |gid, group_rows| {
                     if group_rows.len() != groups[gid].len() {
                         return Err(format!(
                             "job {gid} returned {} rows for {} cells",
@@ -1046,6 +1051,70 @@ impl Executor {
             fleet,
         })
     }
+}
+
+/// The context line [`Executor::run_campaign`] sends every worker
+/// process: `campaign ` and the configuration's [`to_ctx`](CampaignConfig::to_ctx).
+fn worker_ctx(config: &CampaignConfig) -> String {
+    format!("campaign {}", config.to_ctx())
+}
+
+/// A campaign worker's state, parsed once from its context line: the
+/// configuration, its tuple sweep and its scheme list.
+type WorkerTask = (CampaignConfig, Vec<CampaignTuple>, Vec<Scheme>);
+
+/// Parses a [`worker_ctx`] line.
+fn parse_worker_ctx(ctx: &str) -> Result<WorkerTask, String> {
+    let ctx = ctx
+        .strip_prefix("campaign ")
+        .ok_or_else(|| format!("not a campaign ctx: {ctx}"))?;
+    let config = CampaignConfig::from_ctx(ctx)?;
+    Ok((config, config.generate_tuples(), config.schemes()))
+}
+
+/// Runs one campaign job: `spec` lists the global cell indices of one
+/// tuple's pending cells (tuple-major, so cell `c` is scheme
+/// `c % schemes.len()` of tuple `c / schemes.len()`), run as one bundle.
+/// A panic becomes the bundle's panic rows, as on the thread executor.
+///
+/// # Errors
+///
+/// The spec arrives from another process, so a malformed one is an
+/// error, never a panic: an empty group, an index that is not a number
+/// or names no cell, or cells of more than one tuple.
+fn run_campaign_group(
+    (config, tuples, schemes): &WorkerTask,
+    spec: &str,
+) -> Result<Vec<String>, String> {
+    let cells: Vec<usize> = spec
+        .split(',')
+        .filter(|s| !s.is_empty())
+        .map(|s| {
+            let c = s
+                .parse::<usize>()
+                .map_err(|_| format!("bad cell index: {s}"))?;
+            if c >= tuples.len() * schemes.len() {
+                return Err(format!("cell index out of range: {c}"));
+            }
+            Ok(c)
+        })
+        .collect::<Result<_, _>>()?;
+    let Some(&first) = cells.first() else {
+        return Err("empty job group".to_string());
+    };
+    let t = first / schemes.len();
+    if cells.iter().any(|&c| c / schemes.len() != t) {
+        return Err(format!("job group spans tuples: {spec}"));
+    }
+    let group: Vec<Scheme> = cells.iter().map(|&c| schemes[c % schemes.len()]).collect();
+    Ok(run_bundle_caught(&tuples[t], &group, config))
+}
+
+/// The campaign worker process body (`campaign --worker`,
+/// `serve --worker`, `chaos --worker`): speaks the cluster protocol
+/// until stdin closes.
+pub fn campaign_worker() -> ExitCode {
+    worker_loop(parse_worker_ctx, run_campaign_group)
 }
 
 /// Runs (or resumes) a campaign on the crash-isolated thread `fleet`;
@@ -1397,5 +1466,76 @@ mod tests {
         assert_eq!(panic_message(owned.as_ref()), "formatted");
         let odd: Box<dyn std::any::Any + Send> = Box::new(42u32);
         assert_eq!(panic_message(odd.as_ref()), "opaque panic payload");
+    }
+
+    #[test]
+    fn campaign_ctx_round_trips() {
+        let mut cfg = CampaignConfig::smoke();
+        cfg.include_control = false;
+        let parsed = CampaignConfig::from_ctx(&cfg.to_ctx()).expect("round trip");
+        assert_eq!(parsed, cfg);
+        assert_eq!(parsed.meta_line(), cfg.meta_line());
+
+        assert!(CampaignConfig::from_ctx("seed=1").is_err(), "missing fields");
+        assert!(CampaignConfig::from_ctx("nonsense").is_err());
+        let err = CampaignConfig::from_ctx(
+            "seed=x tuples=1 commits=1 warmup=0 watchdog=1 control=1 riscv=0",
+        )
+        .expect_err("bad number");
+        assert!(err.contains("seed"), "{err}");
+        // Seven words are not seven fields: a repeated key must not stand
+        // in for a missing one (here `riscv`, which would default).
+        let err = CampaignConfig::from_ctx(
+            "seed=1 seed=2 tuples=1 commits=1 warmup=0 watchdog=1 control=1",
+        )
+        .expect_err("repeated key");
+        assert!(err.contains("seed"), "{err}");
+    }
+
+    #[test]
+    fn worker_ctx_needs_the_campaign_prefix() {
+        let cfg = tiny_config();
+        let (parsed, tuples, schemes) = parse_worker_ctx(&worker_ctx(&cfg)).expect("round trip");
+        assert_eq!(parsed, cfg);
+        assert_eq!(tuples, cfg.generate_tuples());
+        assert_eq!(schemes, cfg.schemes());
+        let err = parse_worker_ctx(&cfg.to_ctx()).expect_err("no prefix");
+        assert!(err.contains("not a campaign ctx"), "{err}");
+    }
+
+    #[test]
+    fn malformed_job_specs_are_errors_not_panics() {
+        let cfg = tiny_config();
+        let task = parse_worker_ctx(&worker_ctx(&cfg)).expect("valid ctx");
+        let cells = task.1.len() * task.2.len();
+        for (spec, want) in [
+            ("", "empty job group"),
+            (",", "empty job group"),
+            ("x", "bad cell index"),
+            ("1,-2", "bad cell index"),
+            (&cells.to_string(), "out of range"),
+            (&format!("0,{}", cells + 5), "out of range"),
+            ("6,7", "spans tuples"),
+        ] {
+            let err = run_campaign_group(&task, spec).expect_err(spec);
+            assert!(err.contains(want), "{spec:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_one_tuple_job_returns_that_bundles_rows() {
+        let cfg = CampaignConfig {
+            tuples: 2,
+            commits: 2_000,
+            warmup: 500,
+            riscv_tuples: 0,
+            ..CampaignConfig::full()
+        };
+        let task = parse_worker_ctx(&worker_ctx(&cfg)).expect("valid ctx");
+        let n = task.2.len();
+        // Schemes 0 and 2 of tuple 1, as the coordinator would send them.
+        let spec = format!("{},{}", n, n + 2);
+        let rows = run_campaign_group(&task, &spec).expect("valid spec");
+        assert_eq!(rows, run_bundle(&task.1[1], &[task.2[0], task.2[2]], &cfg));
     }
 }

@@ -1,12 +1,12 @@
-//! Multi-process sharded fleet: a coordinator/worker split that extends
-//! the [`Fleet`](crate::fleet::Fleet) determinism contract from threads
-//! to processes.
+//! Multi-process sharded fleet: a coordinator/worker transport that
+//! extends the [`Fleet`](crate::fleet::Fleet) determinism contract from
+//! threads to processes. It knows nothing about the jobs it carries.
 //!
 //! # Shape
 //!
 //! The coordinator spawns N worker processes (the same binary in
 //! `--worker` mode, or any command speaking the protocol), shards the
-//! job space deterministically across them ([`plan_shards`]), and drives
+//! job space deterministically across them (`plan_shards`), and drives
 //! a line-framed protocol over each worker's stdin/stdout:
 //!
 //! ```text
@@ -17,10 +17,13 @@
 //! coordinator -> worker   <stdin EOF>                     (clean shutdown)
 //! ```
 //!
-//! Rows are opaque single lines; the campaign glue sends verdict CSV
-//! rows, the diff glue sends tab-escaped [`DiffRun`]s. A job is one
-//! *group* (a campaign tuple's pending cells, a diff tuple's schemes),
-//! run as one co-sim bundle, exactly as on threads.
+//! The context, the specs and the rows are opaque single lines: the
+//! caller of `run_groups` writes them and the `parse_ctx`/`run_group`
+//! pair it gives `worker_loop` reads them. The campaign executor is
+//! the one caller; its wire format (the configuration as the context, one
+//! tuple's pending cell indices as each spec, verdict CSV rows back) is
+//! written and read in the campaign module, which also holds the worker
+//! body the harness binaries run in `--worker` mode.
 //!
 //! # Scheduling: shards, stealing, leases
 //!
@@ -28,8 +31,8 @@
 //! (the *lease*) plus its queue. An idle worker first drains the orphan
 //! pool (work reclaimed from dead workers), then its own queue, then
 //! steals from the **back** of the longest live queue — stragglers lose
-//! their tail, never their head. Because results are keyed by job id and
-//! assembled in submission order, stealing never changes output bytes.
+//! their tail, never their head. Results are handed to the caller keyed
+//! by job id, so stealing never changes what the caller assembles.
 //!
 //! # Death, reassignment, determinism
 //!
@@ -37,16 +40,15 @@
 //! surfaces on its stdout (EOF, a partial line, or an unparseable
 //! frame). The coordinator revokes the lease: the in-flight job and the
 //! dead worker's queue move to the orphan pool and idle workers pick
-//! them up. Every completed row is journalled by the coordinator through
-//! the same [`campaign`](crate::campaign) journal the in-process runner
-//! uses — the journal *is* the coordination substrate — so a kill of the
-//! coordinator itself resumes exactly like a killed single-process
-//! campaign. Rows are pure functions of their cell and the final CSV is
-//! assembled by key in tuple-major order, so the bytes are identical at
-//! any worker count, under any interleaving, steal pattern or mid-run
-//! kill. An explicit `ERR` frame stays **fatal**: it reports a
-//! deterministic worker-side failure that would fail identically on any
-//! replacement, so retry-looping it would loop forever.
+//! them up. Each job's rows reach the caller exactly once, in completion
+//! order; the campaign executor journals them as they arrive, so a kill
+//! of the coordinator itself resumes exactly like a killed
+//! single-process campaign. Rows are pure functions of their job and the
+//! caller places them by job id, so its output is identical at any
+//! worker count, under any interleaving, steal pattern or mid-run kill.
+//! An explicit `ERR` frame stays **fatal**: it reports a deterministic
+//! worker-side failure that would fail identically on any replacement,
+//! so retry-looping it would loop forever.
 //!
 //! # Failure accounting: backoff and quarantine
 //!
@@ -61,7 +63,7 @@
 //! failures is **permanently quarantined** — never respawned, its work
 //! redistributed — so a poisoned slot (bad CPU, cursed cgroup, a chaos
 //! profile with a grudge) degrades the fleet instead of eating the whole
-//! respawn budget. The campaign completes on the survivors; only when
+//! respawn budget. The run completes on the survivors; only when
 //! *no* slot is alive or pending respawn does the run fail.
 //!
 //! # Kill-test and chaos hooks
@@ -85,13 +87,6 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::process::{Child, ChildStdin, Command, ExitCode, Stdio};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
-
-use tv_timing::Voltage;
-
-use crate::campaign::{run_bundle_caught, CampaignConfig, CampaignTuple};
-use crate::diff::{diff_runs, report_from_runs, DiffConfig, DiffReport, DiffRun, DiffTuple};
-use crate::schemes::Scheme;
-use crate::workload::Workload;
 
 /// Coordinator-side env var arming the kill-test hook (`<worker>@<jobs>`).
 pub const KILL_ENV: &str = "TV_CLUSTER_KILL";
@@ -160,7 +155,7 @@ impl ClusterConfig {
 /// `j % shards`. Pure, so the initial assignment is identical on every
 /// run — only stealing (which cannot change output bytes) reacts to
 /// timing.
-pub fn plan_shards(jobs: usize, shards: usize) -> Vec<Vec<usize>> {
+pub(crate) fn plan_shards(jobs: usize, shards: usize) -> Vec<Vec<usize>> {
     let shards = shards.clamp(1, jobs.max(1));
     let mut plan: Vec<Vec<usize>> = vec![Vec::new(); shards];
     for j in 0..jobs {
@@ -545,7 +540,7 @@ fn read_worker(worker: usize, generation: u64, stdout: impl Read, tx: &Sender<Ev
 /// worker reports a fatal `ERR` frame, or when `on_group` rejects a
 /// reply. Transient worker deaths are *not* errors — their work is
 /// reassigned.
-pub fn run_groups<F>(
+pub(crate) fn run_groups<F>(
     cluster: &ClusterConfig,
     ctx: &str,
     specs: &[String],
@@ -696,12 +691,14 @@ fn one_line(msg: &str) -> String {
 
 /// The generic worker side of the protocol: parses the `CTX` line with
 /// `parse_ctx`, then answers every `JOB` via `run_group(task, spec)`
-/// until stdin closes. Harness binaries call this from their `--worker`
-/// mode; the campaign and diff workers are wrappers over it.
+/// until stdin closes. The campaign worker, which the harness binaries
+/// run in `--worker` mode, is a wrapper over it.
 ///
 /// Nothing else may write to stdout while this runs — a stray print
-/// corrupts the framing (the coordinator treats it as fatal).
-pub fn worker_loop<T, P, R>(parse_ctx: P, run_group: R) -> ExitCode
+/// corrupts the framing, and the coordinator reads a garbage frame as the
+/// worker's death: the job is reassigned and the slot's failure count
+/// decides between respawn and quarantine.
+pub(crate) fn worker_loop<T, P, R>(parse_ctx: P, run_group: R) -> ExitCode
 where
     P: FnOnce(&str) -> Result<T, String>,
     R: Fn(&T, &str) -> Result<Vec<String>, String>,
@@ -788,311 +785,6 @@ where
     ExitCode::SUCCESS
 }
 
-// --- campaign glue ------------------------------------------------------
-
-/// Runs one campaign job: `spec` lists the global cell indices of one
-/// tuple's pending cells (tuple-major, so cell `c` is scheme
-/// `c % schemes.len()` of tuple `c / schemes.len()`), run as one bundle.
-/// A panic becomes the bundle's panic rows, as on the thread executor.
-fn run_campaign_group(
-    config: &CampaignConfig,
-    tuples: &[CampaignTuple],
-    schemes: &[Scheme],
-    spec: &str,
-) -> Result<Vec<String>, String> {
-    let cells: Vec<usize> = spec
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.parse::<usize>()
-                .ok()
-                .filter(|&c| c < tuples.len() * schemes.len())
-                .ok_or_else(|| format!("cell index out of range: {s}"))
-        })
-        .collect::<Result<_, _>>()?;
-    let Some(&first) = cells.first() else {
-        return Err("empty job group".to_string());
-    };
-    let t = first / schemes.len();
-    if cells.iter().any(|&c| c / schemes.len() != t) {
-        return Err(format!("job group spans tuples: {spec}"));
-    }
-    let tuple = &tuples[t];
-    let group: Vec<Scheme> = cells.iter().map(|&c| schemes[c % schemes.len()]).collect();
-    Ok(run_bundle_caught(tuple, &group, config))
-}
-
-/// The campaign worker process body (`campaign --worker`,
-/// `serve --worker`): speaks the cluster protocol until stdin closes.
-pub fn campaign_worker() -> ExitCode {
-    worker_loop(
-        |ctx| {
-            let ctx = ctx
-                .strip_prefix("campaign ")
-                .ok_or_else(|| format!("not a campaign ctx: {ctx}"))?;
-            let config = CampaignConfig::from_ctx(ctx)?;
-            Ok((config, config.generate_tuples(), config.schemes()))
-        },
-        |(config, tuples, schemes), spec| run_campaign_group(config, tuples, schemes, spec),
-    )
-}
-
-// --- diff glue ----------------------------------------------------------
-
-/// Escapes a wire field: `\` -> `\\`, tab -> `\t`, newline -> `\n`.
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('\t', "\\t").replace('\n', "\\n")
-}
-
-/// Inverse of [`escape`].
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some(c) => out.push(c),
-            None => out.push('\\'),
-        }
-    }
-    out
-}
-
-/// Looks a scheme up by its stable [`Scheme::name`].
-fn scheme_from_name(name: &str) -> Option<Scheme> {
-    Scheme::ALL
-        .iter()
-        .copied()
-        .chain(std::iter::once(Scheme::NoTolerance))
-        .find(|s| s.name() == name)
-}
-
-/// Serializes one [`DiffRun`] as a tab-separated wire line.
-fn diff_run_to_wire(run: &DiffRun) -> String {
-    let violation = match &run.first_violation {
-        None => "none".to_string(),
-        Some(v) => format!("some:{}", escape(v)),
-    };
-    let oracle = match run.oracle_clean {
-        None => "-",
-        Some(true) => "1",
-        Some(false) => "0",
-    };
-    format!(
-        "{}\t{}\t{}\t{}\t{}\t{}\t{:016x}\t{}\t{}\t{}\t{}\t{}",
-        escape(&run.workload),
-        run.vdd.volts(),
-        run.seed,
-        run.scheme.name(),
-        run.commits,
-        run.cycles,
-        run.stream_hash,
-        run.audit_cycles,
-        run.audit_checks,
-        run.audit_violations,
-        violation,
-        oracle,
-    )
-}
-
-/// Parses a [`diff_run_to_wire`] line.
-fn diff_run_from_wire(line: &str) -> Result<DiffRun, String> {
-    let fields: Vec<&str> = line.split('\t').collect();
-    if fields.len() != 12 {
-        return Err(format!("diff wire row needs 12 fields, got {}", fields.len()));
-    }
-    let num = |i: usize| -> Result<u64, String> {
-        fields[i]
-            .parse::<u64>()
-            .map_err(|_| format!("bad numeric field {i}: {}", fields[i]))
-    };
-    Ok(DiffRun {
-        workload: unescape(fields[0]),
-        vdd: Voltage::new(
-            fields[1]
-                .parse::<f64>()
-                .map_err(|_| format!("bad vdd: {}", fields[1]))?,
-        ),
-        seed: num(2)?,
-        scheme: scheme_from_name(fields[3]).ok_or_else(|| format!("unknown scheme: {}", fields[3]))?,
-        commits: num(4)?,
-        cycles: num(5)?,
-        stream_hash: u64::from_str_radix(fields[6], 16)
-            .map_err(|_| format!("bad stream hash: {}", fields[6]))?,
-        audit_cycles: num(7)?,
-        audit_checks: num(8)?,
-        audit_violations: num(9)?,
-        first_violation: match fields[10] {
-            "none" => None,
-            v => Some(
-                v.strip_prefix("some:")
-                    .map(unescape)
-                    .ok_or_else(|| format!("bad violation field: {v}"))?,
-            ),
-        },
-        oracle_clean: match fields[11] {
-            "-" => None,
-            "1" => Some(true),
-            "0" => Some(false),
-            v => return Err(format!("bad oracle field: {v}")),
-        },
-    })
-}
-
-/// Renders the audit level as a ctx word.
-fn audit_word(audit: tv_audit::AuditLevel) -> &'static str {
-    match audit {
-        tv_audit::AuditLevel::Off => "off",
-        tv_audit::AuditLevel::Basic => "basic",
-        tv_audit::AuditLevel::Full => "full",
-    }
-}
-
-/// Serializes a differential sweep as a one-line worker context.
-///
-/// # Errors
-///
-/// Rejects workload names the line framing cannot carry (whitespace,
-/// `|`, `;` — e.g. a file path with spaces).
-fn diff_ctx(tuples: &[DiffTuple], cfg: &DiffConfig) -> Result<String, String> {
-    let mut tuple_words = Vec::with_capacity(tuples.len());
-    for t in tuples {
-        let name = t.workload.name();
-        if name.contains(|c: char| c.is_whitespace() || c == '|' || c == ';') {
-            return Err(format!(
-                "workload name `{name}` cannot cross the cluster protocol \
-                 (contains whitespace, `|` or `;`)"
-            ));
-        }
-        tuple_words.push(format!("{name}|{}|{}", t.vdd.volts(), t.seed));
-    }
-    let schemes: Vec<&str> = cfg.schemes.iter().map(|s| s.name()).collect();
-    Ok(format!(
-        "diff commits={} warmup={} audit={} oracle={} schemes={} tuples={}",
-        cfg.commits,
-        cfg.warmup,
-        audit_word(cfg.audit),
-        u8::from(cfg.oracle),
-        schemes.join(","),
-        tuple_words.join(";"),
-    ))
-}
-
-/// Parses a [`diff_ctx`] line back into tuples plus configuration.
-fn parse_diff_ctx(ctx: &str) -> Result<(Vec<DiffTuple>, DiffConfig), String> {
-    let ctx = ctx
-        .strip_prefix("diff ")
-        .ok_or_else(|| format!("not a diff ctx: {ctx}"))?;
-    let mut cfg = DiffConfig::default();
-    let mut tuples = Vec::new();
-    for word in ctx.split_whitespace() {
-        let (key, value) = word
-            .split_once('=')
-            .ok_or_else(|| format!("malformed ctx word: {word}"))?;
-        match key {
-            "commits" => cfg.commits = value.parse().map_err(|_| format!("bad commits: {value}"))?,
-            "warmup" => cfg.warmup = value.parse().map_err(|_| format!("bad warmup: {value}"))?,
-            "audit" => {
-                cfg.audit = match value {
-                    "off" => tv_audit::AuditLevel::Off,
-                    "basic" => tv_audit::AuditLevel::Basic,
-                    "full" => tv_audit::AuditLevel::Full,
-                    other => return Err(format!("bad audit level: {other}")),
-                }
-            }
-            "oracle" => cfg.oracle = value == "1",
-            "schemes" => {
-                cfg.schemes = value
-                    .split(',')
-                    .map(|n| scheme_from_name(n).ok_or_else(|| format!("unknown scheme: {n}")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "tuples" => {
-                for t in value.split(';').filter(|t| !t.is_empty()) {
-                    let mut parts = t.split('|');
-                    let (Some(name), Some(vdd), Some(seed), None) =
-                        (parts.next(), parts.next(), parts.next(), parts.next())
-                    else {
-                        return Err(format!("malformed tuple: {t}"));
-                    };
-                    tuples.push(DiffTuple {
-                        workload: Workload::parse(name)?,
-                        vdd: Voltage::new(
-                            vdd.parse::<f64>().map_err(|_| format!("bad vdd: {vdd}"))?,
-                        ),
-                        seed: seed.parse().map_err(|_| format!("bad seed: {seed}"))?,
-                    });
-                }
-            }
-            other => return Err(format!("unknown ctx field: {other}")),
-        }
-    }
-    if tuples.is_empty() {
-        return Err("diff ctx carries no tuples".to_string());
-    }
-    Ok((tuples, cfg))
-}
-
-/// The diff worker process body (`audit_diff --worker`).
-pub fn diff_worker() -> ExitCode {
-    worker_loop(
-        |ctx| parse_diff_ctx(&format!("diff {ctx}")).or_else(|_| parse_diff_ctx(ctx)),
-        |(tuples, cfg), spec| {
-            let ti: usize = spec
-                .parse()
-                .map_err(|_| format!("bad tuple index: {spec}"))?;
-            let tuple = tuples
-                .get(ti)
-                .ok_or_else(|| format!("tuple index out of range: {ti}"))?;
-            Ok(diff_runs(tuple, cfg).iter().map(diff_run_to_wire).collect())
-        },
-    )
-}
-
-/// [`run_differential`](crate::diff::run_differential) on a process
-/// fleet: one job per tuple, results reassembled in submission order
-/// (tuples outer, schemes inner), so the report is identical to the
-/// in-process harness at any worker count.
-///
-/// # Errors
-///
-/// Unrecoverable cluster failures and protocol errors; individual
-/// worker deaths are reassigned, not surfaced.
-pub fn run_differential_cluster(
-    cluster: &ClusterConfig,
-    tuples: &[DiffTuple],
-    cfg: &DiffConfig,
-) -> Result<DiffReport, String> {
-    let ctx = diff_ctx(tuples, cfg)?;
-    let specs: Vec<String> = (0..tuples.len()).map(|i| i.to_string()).collect();
-    let mut groups: Vec<Option<Vec<DiffRun>>> = vec![None; tuples.len()];
-    run_groups(cluster, &ctx, &specs, |gid, rows| {
-        let runs: Vec<DiffRun> = rows
-            .iter()
-            .map(|r| diff_run_from_wire(r))
-            .collect::<Result<_, _>>()?;
-        if runs.len() != cfg.schemes.len() {
-            return Err(format!(
-                "tuple {gid} returned {} runs for {} schemes",
-                runs.len(),
-                cfg.schemes.len(),
-            ));
-        }
-        groups[gid] = Some(runs);
-        Ok(())
-    })?;
-    let runs: Vec<DiffRun> = groups
-        .into_iter()
-        .flat_map(|g| g.expect("every tuple replied"))
-        .collect();
-    Ok(report_from_runs(runs, cfg))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1112,100 +804,6 @@ mod tests {
         assert_eq!(plan_shards(0, 4).len(), 1);
         assert_eq!(plan_shards(5, 0).len(), 1);
         assert_eq!(plan_shards(5, 1), vec![(0..5).collect::<Vec<_>>()]);
-    }
-
-    #[test]
-    fn campaign_ctx_round_trips() {
-        let mut cfg = CampaignConfig::smoke();
-        cfg.include_control = false;
-        let parsed = CampaignConfig::from_ctx(&cfg.to_ctx()).expect("round trip");
-        assert_eq!(parsed, cfg);
-        assert_eq!(parsed.meta_line(), cfg.meta_line());
-
-        assert!(CampaignConfig::from_ctx("seed=1").is_err(), "missing fields");
-        assert!(CampaignConfig::from_ctx("nonsense").is_err());
-        let err = CampaignConfig::from_ctx(
-            "seed=x tuples=1 commits=1 warmup=0 watchdog=1 control=1 riscv=0",
-        )
-        .expect_err("bad number");
-        assert!(err.contains("seed"), "{err}");
-    }
-
-    #[test]
-    fn diff_ctx_and_wire_round_trip() {
-        let cfg = DiffConfig {
-            commits: 1234,
-            warmup: 56,
-            audit: tv_audit::AuditLevel::Basic,
-            schemes: vec![Scheme::FaultFree, Scheme::Cds, Scheme::NoTolerance],
-            oracle: true,
-        };
-        let tuples = vec![
-            DiffTuple {
-                workload: Workload::parse("gcc").unwrap(),
-                vdd: Voltage::low_fault(),
-                seed: 7,
-            },
-            DiffTuple {
-                workload: Workload::builtin("matmul").unwrap(),
-                vdd: Voltage::high_fault(),
-                seed: 8,
-            },
-        ];
-        let ctx = diff_ctx(&tuples, &cfg).expect("serializable");
-        let (t2, c2) = parse_diff_ctx(&ctx).expect("parse back");
-        assert_eq!(t2.len(), 2);
-        assert_eq!(t2[0].workload.name(), "gcc");
-        assert_eq!(t2[1].workload.name(), "riscv:matmul");
-        assert_eq!(t2[0].vdd, tuples[0].vdd);
-        assert_eq!(t2[1].seed, 8);
-        assert_eq!(c2.commits, 1234);
-        assert_eq!(c2.warmup, 56);
-        assert_eq!(c2.schemes, cfg.schemes);
-        assert!(c2.oracle);
-
-        let run = DiffRun {
-            workload: "riscv:matmul".to_string(),
-            vdd: Voltage::low_fault(),
-            seed: 9,
-            scheme: Scheme::Abs,
-            commits: 1000,
-            cycles: 2500,
-            stream_hash: 0xdead_beef_0123_4567,
-            audit_cycles: 2500,
-            audit_checks: 9000,
-            audit_violations: 1,
-            first_violation: Some("cycle 3: weird\ttab and\nnewline".to_string()),
-            oracle_clean: Some(false),
-        };
-        let back = diff_run_from_wire(&diff_run_to_wire(&run)).expect("wire round trip");
-        assert_eq!(back, run);
-        assert!(!diff_run_to_wire(&run).contains('\n'), "wire rows are one line");
-
-        let clean = DiffRun {
-            first_violation: None,
-            oracle_clean: None,
-            ..run
-        };
-        assert_eq!(
-            diff_run_from_wire(&diff_run_to_wire(&clean)).unwrap(),
-            clean
-        );
-    }
-
-    #[test]
-    fn escape_round_trips() {
-        for s in ["", "plain", "a\tb", "a\nb", "back\\slash", "\\t literal", "\\"] {
-            assert_eq!(unescape(&escape(s)), s, "{s:?}");
-        }
-    }
-
-    #[test]
-    fn scheme_lookup_covers_all_and_control() {
-        for s in Scheme::ALL.iter().copied().chain([Scheme::NoTolerance]) {
-            assert_eq!(scheme_from_name(s.name()), Some(s));
-        }
-        assert_eq!(scheme_from_name("nope"), None);
     }
 
     /// A scripted POSIX-shell worker: obeys the protocol, echoes one row

@@ -168,7 +168,7 @@ pub(crate) fn stream_hash(log: &[(u64, u64, u8)]) -> u64 {
 /// One tuple's differential runs: one co-sim bundle (shared frontend,
 /// one lane per configured scheme), one [`DiffRun`] per scheme in scheme
 /// order — each bit-identical to a solo run of that scheme.
-pub(crate) fn diff_runs(tuple: &DiffTuple, cfg: &DiffConfig) -> Vec<DiffRun> {
+fn diff_runs(tuple: &DiffTuple, cfg: &DiffConfig) -> Vec<DiffRun> {
     let mut cosim = build_cosim(&tuple.workload, tuple.seed, tuple.vdd, &cfg.schemes, |_, b| {
         let b = b.record_commits(true).oracle(cfg.oracle);
         if cfg.audit.enabled() {
@@ -216,23 +216,17 @@ pub(crate) fn diff_runs(tuple: &DiffTuple, cfg: &DiffConfig) -> Vec<DiffRun> {
 }
 
 /// Runs every tuple under every configured scheme on `fleet` — one
-/// co-sim bundle per tuple — and checks scheme equivalence. Results come
-/// back in submission order (tuples outer, schemes inner), bit-identical
-/// at any worker count.
+/// co-sim bundle per tuple — and checks scheme equivalence: any scheme
+/// whose stream diverges from its tuple's first scheme is a mismatch.
+/// Results come back in submission order (tuples outer, schemes inner),
+/// bit-identical at any worker count.
 pub fn run_differential(fleet: &Fleet, tuples: &[DiffTuple], cfg: &DiffConfig) -> DiffReport {
-    let runs = fleet
+    let runs: Vec<DiffRun> = fleet
         .map(tuples.to_vec(), |tuple| diff_runs(tuple, cfg))
         .results
         .into_iter()
         .flatten()
         .collect();
-    report_from_runs(runs, cfg)
-}
-
-/// Builds the [`DiffReport`] from runs in submission order (tuples outer,
-/// schemes inner), flagging any scheme whose stream diverges from its
-/// tuple's first scheme. Shared by the in-process and cluster runners.
-pub(crate) fn report_from_runs(runs: Vec<DiffRun>, cfg: &DiffConfig) -> DiffReport {
     let mut mismatches = Vec::new();
     for group in runs.chunks(cfg.schemes.len()) {
         let Some(first) = group.first() else { continue };

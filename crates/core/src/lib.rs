@@ -26,11 +26,12 @@
 //!   golden-model oracle as one co-sim bundle per tuple on an
 //!   [`Executor`] (threads or processes), with a per-row resume journal
 //!   that makes interrupted campaigns bit-identical on resume;
-//! * [`cluster`] — the multi-process sharded fleet: a coordinator that
-//!   spawns worker processes over a line-framed stdin/stdout protocol,
-//!   shards jobs deterministically, steals straggler shards, reassigns
-//!   work from `kill -9`'d workers and keeps campaign CSVs byte-identical
-//!   at any process count;
+//! * [`cluster`] — the multi-process sharded fleet behind the campaign
+//!   [`Executor`]: a job-agnostic coordinator that spawns worker
+//!   processes over a line-framed stdin/stdout protocol, shards jobs
+//!   deterministically, steals straggler shards and reassigns work from
+//!   `kill -9`'d workers, so campaign CSVs are byte-identical at any
+//!   process count;
 //! * [`chaos`] — deterministic, seed-driven fault injection against the
 //!   platform's own persistence and process fabric (journal corruption,
 //!   persist errors, worker kills, connection faults), behind
@@ -73,15 +74,12 @@ pub mod select;
 pub mod workload;
 
 pub use campaign::{
-    journal_line, parse_journal, prepare_journal, run_campaign, run_campaign_cluster,
-    run_campaign_observed, CampaignConfig, CampaignReport, CampaignTuple, Executor,
-    FaultScenario, ParsedJournal,
+    campaign_worker, journal_line, parse_journal, prepare_journal, run_campaign,
+    run_campaign_cluster, run_campaign_observed, CampaignConfig, CampaignReport, CampaignTuple,
+    Executor, FaultScenario, ParsedJournal,
 };
 pub use chaos::{ChaosIo, ChaosPlan};
-pub use cluster::{
-    campaign_worker, diff_worker, plan_shards, run_differential_cluster, run_groups,
-    worker_loop, ClusterConfig, ClusterStats,
-};
+pub use cluster::{ClusterConfig, ClusterStats};
 pub use persist::{fnv1a, write_atomic, write_atomic_str};
 pub use cosim::build_cosim;
 pub use diff::{run_differential, DiffConfig, DiffReport, DiffRun, DiffTuple};

@@ -131,7 +131,6 @@ impl Netlist {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::builder::Builder;
 
     #[test]

@@ -167,7 +167,6 @@ mod tests {
         assert_eq!(u.slot_freezes, 1);
         // normally free at 6; frozen through 6, free at 7
         assert_eq!(u.find_lane(OpClass::IntAlu, 6, &blocked), Some(1));
-        blocked.clone(); // silence lint about immutability patterns
         let b2 = vec![true, true, false, false];
         assert_eq!(u.find_lane(OpClass::IntAlu, 6, &b2), None);
         let b3 = vec![false; 4];

@@ -762,7 +762,7 @@ mod tests {
                     if iq.free() == 0 {
                         break;
                     }
-                    let mut pick = |s: &mut u64| {
+                    let pick = |s: &mut u64| {
                         if next(s) % 4 == 0 {
                             None
                         } else {

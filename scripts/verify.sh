@@ -198,11 +198,12 @@ echo "    kill -9 mid-campaign + restart: resumed CSV byte-identical to offline"
 # Warm burst: 1000 requests across 8 clients, every one a cache hit,
 # zero campaign executions and zero cells simulated during the burst
 # (loadgen checks the server's /stats deltas). The JSON lands in
-# bench_results as the serve benchmark artifact.
+# bench_results as an untracked artifact beside the committed
+# BENCH_serve.json, which this run leaves as recorded.
 mkdir -p bench_results
 ./target/release/loadgen --addr "$serve_addr" --spec "$serve_spec" \
     --requests 1000 --clients 8 --expect-cache hit --expect-warm \
-    --out bench_results/BENCH_serve.json
+    --out bench_results/BENCH_serve.latest.json
 kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true
 
