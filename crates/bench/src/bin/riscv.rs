@@ -92,9 +92,19 @@ fn parse_args() -> Args {
     parsed
 }
 
-/// Renders one `(workload, scheme)` cell as its CSV row.
+/// One finished `(workload, scheme)` cell: its CSV row, its progress
+/// line, and the verdicts that grade it.
+struct Cell {
+    row: String,
+    line: String,
+    oracle_clean: bool,
+    /// Registers and memory image both equal the executor's.
+    end_state_match: bool,
+}
+
+/// Grades one `(workload, scheme)` cell and renders it.
 #[allow(clippy::too_many_arguments)]
-fn cell_row(
+fn cell(
     workload: &Workload,
     scheme: Scheme,
     seed: u64,
@@ -104,13 +114,13 @@ fn cell_row(
     pipe: &Pipeline,
     ref_regs: &[u64],
     ref_mem: &[(u64, u64)],
-) -> String {
+) -> Cell {
     let report = pipe.oracle_report().expect("oracle enabled");
     let oracle_clean = report.clean();
     let regs_match = pipe.arch_regs().is_some_and(|r| r[..] == ref_regs[..]);
     let mem_match = pipe.memory_image().is_some_and(|m| m == ref_mem);
     let kcommits = stats.committed as f64 / wall_s / 1e3;
-    format!(
+    let row = format!(
         "{},{},{:.3},{},{},{},{},{},{},{},{},{:.1}",
         workload.name(),
         scheme.name(),
@@ -124,12 +134,27 @@ fn cell_row(
         regs_match,
         mem_match,
         kcommits,
-    )
+    );
+    let line = format!(
+        "  {:<22} {:>9}: {:>8} commits, {:>9} cycles, {} faults, {:>7.1} kcommits/s",
+        workload.name(),
+        scheme.name(),
+        stats.committed,
+        stats.cycles,
+        stats.faults_total(),
+        kcommits,
+    );
+    Cell {
+        row,
+        line,
+        oracle_clean,
+        end_state_match: regs_match && mem_match,
+    }
 }
 
-/// Runs one workload's full scheme sweep as one co-sim bundle to CSV
-/// rows, one per scheme in `Scheme::ALL` order.
-fn workload_rows(workload: &Workload, seed: u64, vdd: Voltage, max_commits: u64) -> Vec<String> {
+/// Runs one workload's full scheme sweep as one co-sim bundle to graded
+/// cells, one per scheme in `Scheme::ALL` order.
+fn workload_cells(workload: &Workload, seed: u64, vdd: Voltage, max_commits: u64) -> Vec<Cell> {
     // Reference end state from the standalone in-order executor.
     let Workload::Riscv { program, .. } = workload else {
         unreachable!("callers admit only RISC-V workloads");
@@ -154,36 +179,39 @@ fn workload_rows(workload: &Workload, seed: u64, vdd: Voltage, max_commits: u64)
         .into_iter()
         .enumerate()
         .map(|(i, scheme)| {
-            cell_row(
-                workload, scheme, seed, vdd, &stats[i], wall_s, cosim.lane(i), &ref_regs, &ref_mem,
+            cell(
+                workload,
+                scheme,
+                seed,
+                vdd,
+                &stats[i],
+                wall_s,
+                cosim.lane(i),
+                &ref_regs,
+                &ref_mem,
             )
         })
         .collect()
 }
 
-/// Prints the human-readable line for a finished cell row and returns
+/// Prints a finished cell's progress line with its verdicts and returns
 /// whether the cell passed (oracle clean + end state matches).
-fn print_and_grade(row: &str) -> bool {
-    let f: Vec<&str> = row.split(',').collect();
-    let (oracle_clean, regs_match, mem_match) =
-        (f[8] == "true", f[9] == "true", f[10] == "true");
+fn print_and_grade(cell: &Cell) -> bool {
     println!(
-        "  {:<22} {:>9}: {:>8} commits, {:>9} cycles, {} faults, \
-         {:>7} kcommits/s, oracle {}{}",
-        f[0],
-        f[1],
-        f[4],
-        f[5],
-        f[6],
-        f[11],
-        if oracle_clean { "clean" } else { "CORRUPT" },
-        if regs_match && mem_match {
+        "{}, oracle {}{}",
+        cell.line,
+        if cell.oracle_clean {
+            "clean"
+        } else {
+            "CORRUPT"
+        },
+        if cell.end_state_match {
             ""
         } else {
             ", END-STATE MISMATCH"
         },
     );
-    oracle_clean && regs_match && mem_match
+    cell.oracle_clean && cell.end_state_match
 }
 
 fn main() -> ExitCode {
@@ -199,9 +227,9 @@ fn main() -> ExitCode {
     let mut rows = Vec::new();
     let mut failed = false;
     for workload in &args.workloads {
-        for row in workload_rows(workload, args.seed, args.vdd, args.max_commits) {
-            failed |= !print_and_grade(&row);
-            rows.push(row);
+        for cell in workload_cells(workload, args.seed, args.vdd, args.max_commits) {
+            failed |= !print_and_grade(&cell);
+            rows.push(cell.row);
         }
     }
 

@@ -1007,11 +1007,8 @@ impl Executor {
                     record(gid, group_rows);
                     Ok(())
                 })?;
-                if stats.deaths > 0 {
-                    eprintln!(
-                        "[cluster] recovered from {} worker death(s): {} jobs reassigned, {} respawns",
-                        stats.deaths, stats.reassigned, stats.respawns,
-                    );
+                if let Some(line) = stats.event_line() {
+                    eprintln!("{line}");
                 }
                 // The familiar FleetStats shape, so harness summaries need no
                 // second code path: one "job" is one tuple group, and wall
@@ -1035,6 +1032,8 @@ impl Executor {
                             worker,
                         })
                         .collect(),
+                    starts: 0,
+                    walks: 0,
                 }
             }
         };

@@ -186,6 +186,21 @@ pub struct ClusterStats {
     pub timings: Vec<(usize, Duration, usize)>,
 }
 
+impl ClusterStats {
+    /// The `[cluster]` stderr line of a run that lost a worker, stole a
+    /// job or quarantined a slot; `None` for a run that did none of these.
+    pub(crate) fn event_line(&self) -> Option<String> {
+        let eventful = self.deaths > 0 || self.stolen > 0 || self.quarantined > 0;
+        eventful.then(|| {
+            format!(
+                "[cluster] {} worker death(s): {} jobs reassigned, {} respawns, \
+                 {} slot(s) quarantined; {} jobs stolen",
+                self.deaths, self.reassigned, self.respawns, self.quarantined, self.stolen,
+            )
+        })
+    }
+}
+
 /// One worker process slot. Slots are fixed for the whole run; processes
 /// respawn *into* their slot with a bumped generation.
 struct Slot {
@@ -989,6 +1004,34 @@ mod tests {
         let err = run_groups(&cluster, "test", &specs, |_, _| Ok(()))
             .expect_err("ERR frame is fatal");
         assert!(err.contains("deterministic failure"), "{err}");
+    }
+
+    #[test]
+    fn event_line_reports_deaths_steals_and_quarantines() {
+        let quiet = ClusterStats {
+            workers: 2,
+            ..ClusterStats::default()
+        };
+        assert_eq!(quiet.event_line(), None, "an uneventful run prints nothing");
+        let stolen = ClusterStats {
+            stolen: 3,
+            ..quiet.clone()
+        };
+        assert_eq!(
+            stolen.event_line().as_deref(),
+            Some("[cluster] 0 worker death(s): 0 jobs reassigned, 0 respawns, 0 slot(s) quarantined; 3 jobs stolen"),
+        );
+        let quarantined = ClusterStats {
+            deaths: 2,
+            reassigned: 1,
+            respawns: 1,
+            quarantined: 1,
+            ..quiet
+        };
+        assert_eq!(
+            quarantined.event_line().as_deref(),
+            Some("[cluster] 2 worker death(s): 1 jobs reassigned, 1 respawns, 1 slot(s) quarantined; 0 jobs stolen"),
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use tv_energy::{EnergyParams, OverheadTuple, RunEnergy};
 use tv_timing::Voltage;
-use tv_uarch::SimStats;
+use tv_uarch::{SimStats, StreamMemo};
 use tv_workloads::Benchmark;
 
 use crate::fleet::{Fleet, FleetStats, Job};
@@ -105,13 +105,18 @@ impl Experiment {
 
     /// Runs a single scheme.
     pub fn run_scheme(&self, scheme: Scheme) -> SchemeResult {
+        self.run_scheme_in(scheme, &StreamMemo::new())
+    }
+
+    /// Runs a single scheme, its pipeline built through `memo`.
+    pub(crate) fn run_scheme_in(&self, scheme: Scheme, memo: &StreamMemo) -> SchemeResult {
         let mut builder = scheme
             .pipeline_builder(self.bench, self.config.seed, self.vdd)
             .criticality_threshold(self.config.criticality_threshold);
         if self.config.fast_forward > 0 {
             builder = builder.fast_forward(self.config.fast_forward);
         }
-        let mut pipe = builder.build();
+        let mut pipe = builder.build_in(memo);
         pipe.warm_up(self.config.warmup);
         let mut stats = pipe.run(self.config.commits);
         stats.label = scheme.name().to_string();

@@ -10,7 +10,12 @@
 //!
 //! Every job is a pure function of its tuple: the pipeline, workload
 //! trace, fault model and TEP are all (re)constructed inside the job from
-//! `config.seed`, and no RNG state is shared between jobs. Results are
+//! `config.seed`, and no RNG state is shared between jobs. The one thing
+//! the jobs of a [`Fleet::run_jobs`] bag share is its write-once
+//! [`StreamMemo`]: the first job of a (benchmark, seed, fast-forward)
+//! generates the stream's program and walks its calibration probe, and
+//! the others reuse both. Each entry is a pure function of its key, so a
+//! job gets the same inputs whichever job computed them. Results are
 //! written into per-job slots indexed by submission order. Consequently a
 //! fleet run is **bit-identical** to a serial run — and to any other
 //! fleet run — regardless of worker count, scheduling interleavings or
@@ -29,6 +34,7 @@ use std::sync::mpsc::channel;
 use std::time::{Duration, Instant};
 
 use tv_timing::Voltage;
+use tv_uarch::StreamMemo;
 use tv_workloads::Benchmark;
 
 use crate::experiment::{Experiment, RunConfig, SchemeResult};
@@ -80,6 +86,12 @@ impl Job {
     pub fn run(&self) -> SchemeResult {
         Experiment::new(self.bench, self.vdd, self.config).run_scheme(self.scheme)
     }
+
+    /// Runs the job with its stream and calibration counts from a bag's
+    /// shared `memo`; bit-identical to [`run`](Job::run).
+    fn run_in(&self, memo: &StreamMemo) -> SchemeResult {
+        Experiment::new(self.bench, self.vdd, self.config).run_scheme_in(self.scheme, memo)
+    }
 }
 
 /// Wall-clock timing of one completed job.
@@ -109,6 +121,13 @@ pub struct FleetStats {
     pub serial_equivalent: Duration,
     /// Per-job timings, in submission order.
     pub timings: Vec<JobTiming>,
+    /// Streams a [`Fleet::run_jobs`] bag's memo started: one program
+    /// generation per distinct (benchmark, seed, fast-forward). Zero for
+    /// other runs, which keep no memo.
+    pub starts: u64,
+    /// Calibration probe walks the bag's memo ran: one per distinct
+    /// stream with a faulty job. Zero for runs that keep no memo.
+    pub walks: u64,
 }
 
 impl FleetStats {
@@ -128,9 +147,10 @@ impl FleetStats {
         self.timings.iter().max_by_key(|t| t.wall)
     }
 
-    /// One-line human summary for harness output.
+    /// One-line human summary for harness output; a job bag adds its
+    /// memo counts.
     pub fn summary(&self) -> String {
-        format!(
+        let mut line = format!(
             "{} jobs on {} worker{} in {:.2}s (serial-equivalent {:.2}s, speedup {:.2}x)",
             self.jobs,
             self.workers,
@@ -138,7 +158,17 @@ impl FleetStats {
             self.elapsed.as_secs_f64(),
             self.serial_equivalent.as_secs_f64(),
             self.speedup()
-        )
+        );
+        if self.starts > 0 {
+            line += &format!(
+                ", {} stream{} started, {} calibration walk{}",
+                self.starts,
+                if self.starts == 1 { "" } else { "s" },
+                self.walks,
+                if self.walks == 1 { "" } else { "s" },
+            );
+        }
+        line
     }
 }
 
@@ -191,10 +221,18 @@ impl Fleet {
     }
 
     /// Runs experiment jobs and returns their results in submission
-    /// order, bit-identical to a serial loop over [`Job::run`].
+    /// order, bit-identical to a serial loop over [`Job::run`]. The bag
+    /// owns one [`StreamMemo`], dropped on return: each distinct
+    /// (benchmark, seed, fast-forward) generates its program and walks its
+    /// calibration probe once, inside the wall time of the first job that
+    /// needs it.
     pub fn run_jobs(&self, jobs: Vec<Job>) -> FleetRun<SchemeResult> {
         let labels: Vec<String> = jobs.iter().map(Job::label).collect();
-        self.map_observed(jobs, labels, Job::run, |_, _| {})
+        let memo = StreamMemo::new();
+        let mut run = self.map_observed(jobs, labels, |job| job.run_in(&memo), |_, _| {});
+        run.stats.starts = memo.starts();
+        run.stats.walks = memo.walks();
+        run
     }
 
     /// Generic deterministic parallel map: applies `f` to every item and
@@ -297,6 +335,8 @@ impl Fleet {
                 elapsed,
                 serial_equivalent,
                 timings,
+                starts: 0,
+                walks: 0,
             },
         }
     }

@@ -5,8 +5,9 @@
 //! the bit-identical architectural stream — schemes differ in *timing*,
 //! never in *work*. A conventional sweep still pays for that work N times:
 //! each solo [`Pipeline`] regenerates the trace, re-samples the fault
-//! stream, re-runs the 300k-instruction fault-calibration probe, and
-//! re-trains an identical branch predictor. [`CoSim`] runs the lanes
+//! stream and re-trains an identical branch predictor, and one built
+//! alone (outside a [`StreamMemo`] it shares) also re-runs the
+//! 300k-instruction fault-calibration probe. [`CoSim`] runs the lanes
 //! against one [`SharedFrontend`] instead, so per tuple the sweep pays for
 //! trace generation, fault sampling, branch-outcome prediction, and the
 //! calibration probe exactly once.
@@ -66,16 +67,16 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use tv_timing::{FaultModel, PipeStage, Voltage};
-use tv_workloads::{OpClass, TraceInst, WorkloadSource, WorkloadSpec};
+use tv_workloads::{OpClass, TraceInst, WorkloadSource};
 
 use crate::branch::BranchPredictor;
 use crate::config::RecoveryModel;
 use crate::pipeline::{Pipeline, PipelineBuilder, ToleranceMode};
 use crate::profile::{stage, timed_stage};
 use crate::stats::SimStats;
+use crate::stream::StreamMemo;
 use crate::watchdog::WatchdogError;
 
 /// Commits each lane advances per interleaving chunk. Large enough that
@@ -284,7 +285,7 @@ impl CoSim {
         let mut fm_params: Option<(Voltage, _, _)> = None;
         for (i, b) in builders.iter().enumerate() {
             assert!(
-                same_workload(&first.workload, &b.workload),
+                first.workload == b.workload,
                 "lane {i}: co-sim lanes must share one workload"
             );
             assert_eq!(b.seed, seed, "lane {i}: co-sim lanes must share one seed");
@@ -310,17 +311,14 @@ impl CoSim {
                 }
             }
         }
-        // One calibration probe for the whole bundle, via the same builder
-        // path a solo build runs — the shared model is bit-identical to
-        // each faulty lane's solo one.
-        let fm = builders
+        // One stream and one calibration probe for the whole bundle, via
+        // the same builder path a solo build runs — the shared model is
+        // bit-identical to each faulty lane's solo one.
+        let (src, fm) = builders
             .iter()
             .find(|b| b.mode != ToleranceMode::FaultFree)
-            .and_then(PipelineBuilder::make_fault_model);
-        let mut src = first.workload.source(seed);
-        if fast_forward > 0 {
-            src.fast_forward(fast_forward);
-        }
+            .unwrap_or(first)
+            .stream_from(&StreamMemo::new());
         let shared = Rc::new(RefCell::new(SharedFrontend {
             src,
             fm: fm.clone(),
@@ -514,13 +512,5 @@ impl CoSim {
                 return;
             }
         }
-    }
-}
-
-fn same_workload(a: &WorkloadSpec, b: &WorkloadSpec) -> bool {
-    match (a, b) {
-        (WorkloadSpec::Synthetic(p), WorkloadSpec::Synthetic(q)) => p == q,
-        (WorkloadSpec::Riscv(p), WorkloadSpec::Riscv(q)) => Arc::ptr_eq(p, q) || p == q,
-        _ => false,
     }
 }

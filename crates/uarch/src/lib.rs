@@ -56,6 +56,7 @@ pub mod profile;
 pub mod rename;
 pub mod rob;
 pub mod stats;
+pub mod stream;
 mod values;
 pub mod watchdog;
 
@@ -67,4 +68,5 @@ pub use tv_audit::{AuditLevel, AuditReport};
 pub use tv_oracle::OracleReport;
 pub use policy::{mod64_age, AgeBasedSelect, IssueCandidate, SelectPolicy};
 pub use stats::SimStats;
+pub use stream::StreamMemo;
 pub use watchdog::{RobHeadDump, WatchdogError};

@@ -31,7 +31,7 @@ use tv_audit::{AuditLevel, AuditReport, AuditSnapshot, Auditor};
 use tv_tep::{Tep, TepConfig};
 use tv_timing::{FaultCalibration, FaultModel, PipeStage, SensorModel, Voltage};
 use tv_oracle::Semantics;
-use tv_workloads::{Benchmark, OpClass, Profile, TraceInst, WorkloadSpec};
+use tv_workloads::{Benchmark, OpClass, Profile, TraceInst, WorkloadSource, WorkloadSpec};
 
 use crate::branch::BranchPredictor;
 use crate::cache::CacheHierarchy;
@@ -46,6 +46,7 @@ use crate::profile::{stage, timed_stage};
 use crate::rename::RenameTable;
 use crate::rob::Rob;
 use crate::stats::SimStats;
+use crate::stream::StreamMemo;
 use crate::values::ValuePlane;
 use crate::watchdog::{RobHeadDump, WatchdogError};
 
@@ -89,8 +90,6 @@ impl ToleranceMode {
 
 /// Maximum occupancy of each inter-stage buffer.
 const FRONT_BUF: usize = 8;
-/// Instructions profiled to calibrate the fault model's critical-PC set.
-const FAULT_CALIBRATION_PROBE: u64 = 300_000;
 
 #[derive(Debug, Clone, Copy)]
 enum Event {
@@ -238,18 +237,28 @@ impl PipelineBuilder {
         self
     }
 
-    /// Builds the pipeline.
+    /// Builds the pipeline: [`build_in`](Self::build_in) with a memo of
+    /// its own, so the stream's program is generated once and the
+    /// calibration probe walks a fork of the simulated stream.
     ///
     /// # Panics
     ///
     /// Panics if the machine configuration is invalid.
     pub fn build(self) -> Pipeline {
-        let fault_model = self.make_fault_model();
-        let mut gen = self.workload.source(self.seed);
-        if self.fast_forward > 0 {
-            gen.fast_forward(self.fast_forward);
-        }
-        self.build_with(Feed::Direct(gen), fault_model)
+        self.build_in(&StreamMemo::new())
+    }
+
+    /// Builds the pipeline, taking its stream start and calibration
+    /// counts from `memo` and computing there whichever this builder's
+    /// (workload, seed, fast-forward) lacks. The result is bit-identical
+    /// to [`build`](Self::build)'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine configuration is invalid.
+    pub fn build_in(self, memo: &StreamMemo) -> Pipeline {
+        let (src, fault_model) = self.stream_from(memo);
+        self.build_with(Feed::Direct(src), fault_model)
     }
 
     /// The fault calibration a build would use (explicit override or the
@@ -266,26 +275,28 @@ impl PipelineBuilder {
         self.sensor.unwrap_or_else(SensorModel::quiescent)
     }
 
-    /// Builds the fault model exactly as [`build`](Self::build) would —
-    /// including the calibration probe over a fresh trace stream. The
-    /// co-sim driver calls this once per bundle and clones the result into
-    /// each faulty lane, so a shared model is bit-identical to a solo one.
-    pub(crate) fn make_fault_model(&self) -> Option<FaultModel> {
-        if self.mode == ToleranceMode::FaultFree {
-            return None;
-        }
-        let cal = self.resolved_calibration();
-        let sensor = self.resolved_sensor();
-        // Profile the dynamic PC frequencies once so the critical-PC
-        // set can be calibrated to the workload's measured fault rate
-        // (the trace is regenerated; the simulated stream is untouched;
-        // finite workloads may end before the probe budget runs out).
-        let mut probe = self.workload.source(self.seed);
-        probe.fast_forward(self.fast_forward);
-        let weights = probe.pc_counts(FAULT_CALIBRATION_PROBE);
-        Some(FaultModel::calibrated(
-            cal, self.vdd, self.seed, sensor, weights,
-        ))
+    /// This builder's stream from `memo`: a source at the simulated
+    /// window's start, and (for a faulty mode) the fault model with its
+    /// critical-PC set calibrated on the stream's probe counts. The memo
+    /// entry is looked up by this builder's own (workload, seed,
+    /// fast-forward). The co-sim driver calls this once per bundle and
+    /// clones the model into each faulty lane, so a shared model is
+    /// bit-identical to a solo one.
+    pub(crate) fn stream_from(
+        &self,
+        memo: &StreamMemo,
+    ) -> (Box<dyn WorkloadSource>, Option<FaultModel>) {
+        let stream = memo.stream(&self.workload, self.seed, self.fast_forward);
+        let fault_model = (self.mode != ToleranceMode::FaultFree).then(|| {
+            FaultModel::calibrated(
+                self.resolved_calibration(),
+                self.vdd,
+                self.seed,
+                self.resolved_sensor(),
+                stream.pc_counts().iter().copied(),
+            )
+        });
+        (stream.source(), fault_model)
     }
 
     /// Builds the pipeline around an explicit instruction feed and fault
@@ -1821,6 +1832,7 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::FAULT_CALIBRATION_PROBE;
 
     fn run_bench(
         bench: Benchmark,
@@ -2411,7 +2423,8 @@ mod tests {
                 .tolerance(ToleranceMode::ViolationAware)
                 .voltage(Voltage::high_fault())
                 .fast_forward(ff);
-            let walked = builder.make_fault_model().expect("faulty mode has a model");
+            let (_, walked) = builder.stream_from(&StreamMemo::new());
+            let walked = walked.expect("faulty mode has a model");
 
             let mut gen = tv_workloads::TraceGenerator::for_benchmark(bench, seed);
             gen.fast_forward(ff);

@@ -7,6 +7,8 @@
 //! *identical* dynamic instruction stream — a prerequisite for the paper's
 //! overhead comparisons.
 
+use std::sync::Arc;
+
 use tv_prng::{ChaCha12Rng, FastHashMap, Rng, SeedableRng};
 
 use crate::inst::{OpClass, TraceInst};
@@ -21,6 +23,10 @@ struct MemCursor {
 
 /// Walks a static program and emits a resolved dynamic instruction stream.
 ///
+/// The program is shared, not owned: a clone continues the same stream
+/// from the same position and generates nothing, so a stream can be
+/// forked as often as needed for one program generation.
+///
 /// # Example
 ///
 /// ```
@@ -33,7 +39,7 @@ struct MemCursor {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TraceGenerator {
-    program: StaticProgram,
+    program: Arc<StaticProgram>,
     profile: Profile,
     rng: ChaCha12Rng,
     /// Current block index.
@@ -58,7 +64,7 @@ pub struct TraceGenerator {
 impl TraceGenerator {
     /// Creates a generator for an explicit profile and seed.
     pub fn new(profile: Profile, seed: u64) -> Self {
-        let program = StaticProgram::generate(&profile, seed);
+        let program = Arc::new(StaticProgram::generate(&profile, seed));
         let num_blocks = program.blocks().len();
         TraceGenerator {
             program,
@@ -79,8 +85,8 @@ impl TraceGenerator {
         Self::new(bench.profile(), seed)
     }
 
-    /// The underlying static program.
-    pub fn program(&self) -> &StaticProgram {
+    /// The underlying static program, shared with every clone.
+    pub fn program(&self) -> &Arc<StaticProgram> {
         &self.program
     }
 
@@ -335,6 +341,25 @@ mod tests {
     use super::*;
     use crate::program::{COLD_BASE, HOT_BASE};
     use std::collections::HashSet;
+
+    #[test]
+    fn clones_share_the_program_and_continue_the_stream() {
+        let mut gen = TraceGenerator::for_benchmark(Benchmark::Gcc, 3);
+        let mut fresh = TraceGenerator::for_benchmark(Benchmark::Gcc, 3);
+        for _ in 0..1_000 {
+            assert_eq!(gen.next_inst(), fresh.next_inst());
+        }
+        let mut clone = gen.clone();
+        assert!(
+            Arc::ptr_eq(gen.program(), clone.program()),
+            "a clone generates nothing"
+        );
+        for _ in 0..5_000 {
+            let want = fresh.next_inst();
+            assert_eq!(clone.next_inst(), want);
+            assert_eq!(gen.next_inst(), want, "the original runs on independently");
+        }
+    }
 
     #[test]
     fn determinism_across_instances() {

@@ -215,6 +215,10 @@ impl WorkloadSource for RiscvMachine {
     fn next_inst(&mut self) -> Option<TraceInst> {
         self.step()
     }
+
+    fn fork(&self) -> Box<dyn WorkloadSource> {
+        Box::new(self.clone())
+    }
 }
 
 #[cfg(test)]

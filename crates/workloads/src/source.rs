@@ -5,8 +5,10 @@
 //! [`RiscvMachine`](crate::riscv::RiscvMachine) runs a real program to its
 //! `ecall` halt and then ends the stream. [`WorkloadSpec`] is the
 //! *recipe* — a cloneable description a pipeline builder can instantiate
-//! any number of times (the simulated stream and the fault-calibration
-//! probe walk two independent instances).
+//! any number of times. A started stream can also be
+//! [`fork`](WorkloadSource::fork)ed: the fault-calibration probe walks a
+//! fork of the simulated stream, and every pipeline built for the same
+//! (workload, seed, fast-forward) can start from forks of one source.
 
 use std::sync::Arc;
 
@@ -20,11 +22,17 @@ use crate::riscv::{RiscvMachine, RiscvProgram};
 /// A stream of resolved dynamic instructions feeding the pipeline.
 ///
 /// Implementations must be deterministic: two sources built from the same
-/// spec and seed yield identical streams.
-pub trait WorkloadSource: Send {
+/// spec and seed yield identical streams. They are `Sync` so that one
+/// started stream can be shared by the threads that fork it.
+pub trait WorkloadSource: Send + Sync {
     /// The next dynamic instruction, or `None` once the workload has
     /// halted (synthetic workloads never halt).
     fn next_inst(&mut self) -> Option<TraceInst>;
+
+    /// An independent copy of this stream at its current position: it
+    /// yields exactly what this source would yield next. Cheap next to
+    /// building a source: a synthetic fork shares its generated program.
+    fn fork(&self) -> Box<dyn WorkloadSource>;
 
     /// Skips up to `n` instructions (stops early at a halt).
     fn fast_forward(&mut self, n: u64) {
@@ -62,6 +70,10 @@ impl WorkloadSource for TraceGenerator {
         Some(TraceGenerator::next_inst(self))
     }
 
+    fn fork(&self) -> Box<dyn WorkloadSource> {
+        Box::new(self.clone())
+    }
+
     fn fast_forward(&mut self, n: u64) {
         TraceGenerator::fast_forward(self, n);
     }
@@ -84,6 +96,18 @@ pub enum WorkloadSpec {
     Synthetic(Profile),
     /// A real RISC-V program, run to its `ecall` halt.
     Riscv(Arc<RiscvProgram>),
+}
+
+/// Two specs are equal when they describe the same stream: equal
+/// profiles, or the same (or an identical) RISC-V program.
+impl PartialEq for WorkloadSpec {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (WorkloadSpec::Synthetic(p), WorkloadSpec::Synthetic(q)) => p == q,
+            (WorkloadSpec::Riscv(p), WorkloadSpec::Riscv(q)) => Arc::ptr_eq(p, q) || p == q,
+            _ => false,
+        }
+    }
 }
 
 impl WorkloadSpec {

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Full offline verification: build, test, regenerate the committed
-# goldens (differential audit, fig4, RISC-V runs, campaigns) and require
-# them byte for byte, drive the kill/resume, process-fleet, server, fsck
-# and chaos legs, check the parallel engine's determinism contract by
-# regenerating fig4 at several worker counts, and finish with the
-# wall-clock simulator-throughput gate.
+# goldens (differential audit, fig4, table1, RISC-V runs, campaigns) and
+# require them byte for byte, drive the kill/resume, process-fleet,
+# server, fsck and chaos legs, check the parallel engine's determinism
+# contract by regenerating fig4 at several worker counts, and finish with
+# the wall-clock simulator-throughput gate.
 #
 # Usage: scripts/verify.sh [--skip-sweep]
 #   --skip-sweep   skip the fig4 worker-count sweep (it re-simulates fig4
@@ -46,6 +46,16 @@ cargo run --release -q -p tv-bench --bin fig4 --offline -- \
     --out "$tmp_golden" >/dev/null 2>&1
 cmp "$tmp_golden/fig4.csv" bench_results/fig4.csv
 echo "    fig4.csv byte-identical to the committed golden"
+
+echo "==> exact golden: table1 at the committed length, byte-identical"
+# Table 1's bag holds both voltages of every benchmark: each stream's
+# program and calibration walk are shared by jobs whose fault models
+# differ. Same length, seed and single worker as the fig4 leg.
+cargo run --release -q -p tv-bench --bin table1 --offline -- \
+    --commits 300000 --warmup 100000 --seed 42 --workers 1 \
+    --out "$tmp_golden" >/dev/null 2>&1
+cmp "$tmp_golden/table1.csv" bench_results/table1.csv
+echo "    table1.csv byte-identical to the committed golden"
 rm -rf "$tmp_golden"
 
 echo "==> RISC-V differential + hazard regression tests"

@@ -1,7 +1,8 @@
 //! Determinism contract of the parallel experiment engine (`tv-core`'s
 //! [`Fleet`]): the same seed and config must produce **bit-identical**
 //! `SimStats`/`RunEnergy` across repeated serial runs, across 1/2/N
-//! worker threads, and regardless of job submission order.
+//! worker threads, and regardless of job submission order — and a job bag's
+//! shared stream memo must change no result.
 
 use tv_core::{run_evaluations, Experiment, Fleet, Job, RunConfig, Scheme};
 use tv_prng::{ChaCha12Rng, Rng, SeedableRng};
@@ -106,4 +107,45 @@ fn grouped_evaluations_are_identical_across_worker_counts() {
         .iter()
         .enumerate()
         .all(|(i, t)| t.index == i && !t.label.is_empty()));
+}
+
+#[test]
+fn bag_memo_changes_no_result_and_is_keyed_by_stream() {
+    let small = RunConfig {
+        commits: 2_000,
+        warmup: 1_000,
+        ..RunConfig::quick()
+    };
+    let high = Voltage::high_fault();
+    // Both voltages of two benchmarks share two streams; gcc again at a
+    // second seed and fast-forwarded are two streams of their own.
+    let mut experiments = Vec::new();
+    for bench in [Benchmark::Gcc, Benchmark::Mcf] {
+        for vdd in [high, Voltage::low_fault()] {
+            experiments.push((bench, vdd, small));
+        }
+    }
+    let reseeded = RunConfig { seed: 43, ..small };
+    let skipped = RunConfig {
+        fast_forward: 5_000,
+        ..small
+    };
+    experiments.push((Benchmark::Gcc, high, reseeded));
+    experiments.push((Benchmark::Gcc, high, skipped));
+    let jobs: Vec<Job> = experiments
+        .into_iter()
+        .flat_map(|(bench, vdd, config)| Scheme::ALL.map(|s| Job::new(bench, vdd, s, config)))
+        .collect();
+    let alone: Vec<_> = jobs.iter().map(Job::run).collect();
+    for workers in [1, 4] {
+        let run = Fleet::new(workers).run_jobs(jobs.clone());
+        for ((job, got), want) in jobs.iter().zip(&run.results).zip(&alone) {
+            assert_eq!(got, want, "{} in a bag on {workers} workers", job.label());
+        }
+        assert_eq!(
+            (run.stats.starts, run.stats.walks),
+            (4, 4),
+            "one program and one walk per stream on {workers} workers"
+        );
+    }
 }
