@@ -74,7 +74,7 @@ pub struct AuditSnapshot {
     pub committed: u64,
     /// Cumulative instructions squashed.
     pub squashed: u64,
-    /// Instructions currently in flight (slab occupancy).
+    /// Instructions currently in flight (window occupancy).
     pub in_flight: u64,
 
     /// Next sequence number expected at commit.

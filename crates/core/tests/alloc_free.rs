@@ -2,11 +2,11 @@
 //!
 //! Every per-cycle buffer in the simulator is hoisted and reused: the
 //! issue stage's candidate scratch, the wakeup index's waiter lists and
-//! ready list, the flat cache tag arrays, the event heap, and the slab's
-//! free list all reach a stable capacity during warm-up. After that, a
-//! measured run must perform **zero** heap allocations — the property the
-//! throughput work relies on, pinned here with a counting global
-//! allocator across all four tolerance modes.
+//! ready list, the flat cache tag arrays and the event heap all reach a
+//! stable capacity during warm-up, and the in-flight window is a ring
+//! sized at build. After that, a measured run must perform **zero** heap
+//! allocations — the property the throughput work relies on, pinned here
+//! with a counting global allocator across all four tolerance modes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,7 +61,7 @@ fn steady_state_makes_no_allocations() {
             .pipeline_builder(Benchmark::Gcc, 42, Voltage::high_fault())
             .build();
         // Warm-up grows every buffer to its steady capacity (caches fill,
-        // the slab and waiter lists reach their high-water marks, the
+        // the waiter lists reach their high-water marks, the
         // CDL's criticality ranking is materialized).
         pipe.warm_up(30_000);
         let before = ALLOCS.load(Ordering::Relaxed);

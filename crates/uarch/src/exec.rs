@@ -29,6 +29,8 @@ pub struct Lane {
 #[derive(Debug, Clone)]
 pub struct ExecUnits {
     lanes: Vec<Lane>,
+    /// Per [`OpClass`], the bitmask of lanes able to execute it.
+    accepts: [u32; OpClass::ALL.len()],
     /// Total extra-cycle lane holds applied for faulty instructions
     /// (slot-freeze events, for the stats).
     pub slot_freezes: u64,
@@ -36,7 +38,20 @@ pub struct ExecUnits {
 
 impl ExecUnits {
     /// Builds the lane array from the configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics with more than 32 lanes (the select masks are `u32`).
     pub fn new(cfg: &CoreConfig) -> Self {
+        assert!(cfg.lanes.len() <= 32, "at most 32 issue lanes");
+        let mut accepts = [0u32; OpClass::ALL.len()];
+        for op in OpClass::ALL {
+            for (i, kind) in cfg.lanes.iter().enumerate() {
+                if kind.accepts(op) {
+                    accepts[op as usize] |= 1 << i;
+                }
+            }
+        }
         ExecUnits {
             lanes: cfg
                 .lanes
@@ -46,27 +61,24 @@ impl ExecUnits {
                     next_accept: 0,
                 })
                 .collect(),
+            accepts,
             slot_freezes: 0,
         }
     }
 
-    /// Number of lanes.
-    pub fn len(&self) -> usize {
-        self.lanes.len()
+    /// Bitmask of the lanes free to accept an instruction at `cycle`.
+    pub fn free_lanes(&self, cycle: u64) -> u32 {
+        self.lanes
+            .iter()
+            .enumerate()
+            .fold(0, |m, (i, l)| m | (u32::from(l.next_accept <= cycle) << i))
     }
 
-    /// Whether there are no lanes (never true for a valid config).
-    pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
-    }
-
-    /// Finds a lane able to accept `op` at `cycle`, preferring earlier
-    /// lanes (selection order). `blocked` marks lanes already claimed this
-    /// cycle.
-    pub fn find_lane(&self, op: OpClass, cycle: u64, blocked: &[bool]) -> Option<usize> {
-        self.lanes.iter().enumerate().position(|(i, lane)| {
-            !blocked[i] && lane.kind.accepts(op) && lane.next_accept <= cycle
-        })
+    /// The lowest-numbered lane of the `free` mask able to execute `op`
+    /// (lanes are in selection order).
+    pub fn lane_for(&self, op: OpClass, free: u32) -> Option<usize> {
+        let fit = free & self.accepts[op as usize];
+        (fit != 0).then(|| fit.trailing_zeros() as usize)
     }
 
     /// Issues `op` to `lane` at `cycle`.
@@ -78,7 +90,7 @@ impl ExecUnits {
     /// # Panics
     ///
     /// Panics if the lane cannot accept the instruction at `cycle` (the
-    /// caller must use [`find_lane`](Self::find_lane) first).
+    /// caller must pick it with [`lane_for`](Self::lane_for) first).
     pub fn occupy(&mut self, lane: usize, cycle: u64, unpipelined_busy: u64, faulty_hold: bool) {
         let l = &mut self.lanes[lane];
         assert!(l.next_accept <= cycle, "lane is busy");
@@ -88,13 +100,6 @@ impl ExecUnits {
             self.slot_freezes += 1;
         }
         l.next_accept = next;
-    }
-
-    /// Freezes `lane` through cycle `until` (inclusive) — used by the EP
-    /// scheme's global stall and by writeback-slot recirculation.
-    pub fn freeze_until(&mut self, lane: usize, until: u64) {
-        let l = &mut self.lanes[lane];
-        l.next_accept = l.next_accept.max(until + 1);
     }
 
     /// The lane's capability class.
@@ -121,65 +126,65 @@ mod tests {
         ExecUnits::new(&CoreConfig::core1())
     }
 
-    #[test]
-    fn find_prefers_first_capable_free_lane() {
-        let u = units();
-        let blocked = vec![false; u.len()];
-        // IntAlu fits lanes 0 and 1; lane 0 preferred.
-        assert_eq!(u.find_lane(OpClass::IntAlu, 0, &blocked), Some(0));
-        assert_eq!(u.find_lane(OpClass::Load, 0, &blocked), Some(3));
-        assert_eq!(u.find_lane(OpClass::IntMul, 0, &blocked), Some(2));
+    /// The select's lane choice for `op` at `cycle`, with the lanes in
+    /// `claimed` already taken this cycle.
+    fn pick(u: &ExecUnits, op: OpClass, cycle: u64, claimed: u32) -> Option<usize> {
+        u.lane_for(op, u.free_lanes(cycle) & !claimed)
     }
 
     #[test]
-    fn blocked_lanes_are_skipped() {
+    fn select_prefers_first_capable_free_lane() {
         let u = units();
-        let mut blocked = vec![false; u.len()];
-        blocked[0] = true;
-        assert_eq!(u.find_lane(OpClass::IntAlu, 0, &blocked), Some(1));
-        blocked[1] = true;
-        assert_eq!(u.find_lane(OpClass::IntAlu, 0, &blocked), None);
+        // IntAlu fits lanes 0 and 1; lane 0 preferred.
+        assert_eq!(pick(&u, OpClass::IntAlu, 0, 0), Some(0));
+        assert_eq!(pick(&u, OpClass::Load, 0, 0), Some(3));
+        assert_eq!(pick(&u, OpClass::IntMul, 0, 0), Some(2));
+        assert_eq!(pick(&u, OpClass::CondBranch, 0, 0), Some(0));
+    }
+
+    #[test]
+    fn claimed_lanes_are_skipped() {
+        let u = units();
+        assert_eq!(pick(&u, OpClass::IntAlu, 0, 0b0001), Some(1));
+        assert_eq!(pick(&u, OpClass::IntAlu, 0, 0b0011), None);
+        assert_eq!(pick(&u, OpClass::Jump, 0, 0b0001), None, "lane 0 alone jumps");
     }
 
     #[test]
     fn pipelined_lane_accepts_next_cycle() {
         let mut u = units();
-        let blocked = vec![false; u.len()];
         u.occupy(2, 10, 0, false); // pipelined mul
-        assert_eq!(u.find_lane(OpClass::IntMul, 10, &blocked), None);
-        assert_eq!(u.find_lane(OpClass::IntMul, 11, &blocked), Some(2));
+        assert_eq!(pick(&u, OpClass::IntMul, 10, 0), None);
+        assert_eq!(pick(&u, OpClass::IntMul, 11, 0), Some(2));
     }
 
     #[test]
     fn unpipelined_divide_blocks_lane() {
         let mut u = units();
-        let blocked = vec![false; u.len()];
         u.occupy(2, 10, 11, false); // div: busy 12 cycles total
-        assert_eq!(u.find_lane(OpClass::IntMul, 21, &blocked), None);
-        assert_eq!(u.find_lane(OpClass::IntMul, 22, &blocked), Some(2));
+        assert_eq!(pick(&u, OpClass::IntMul, 21, 0), None);
+        assert_eq!(pick(&u, OpClass::IntMul, 22, 0), Some(2));
     }
 
     #[test]
     fn faulty_hold_freezes_one_extra_cycle() {
         let mut u = units();
-        let blocked = vec![false; u.len()];
         u.occupy(0, 5, 0, true);
         assert_eq!(u.slot_freezes, 1);
         // normally free at 6; frozen through 6, free at 7
-        assert_eq!(u.find_lane(OpClass::IntAlu, 6, &blocked), Some(1));
-        let b2 = vec![true, true, false, false];
-        assert_eq!(u.find_lane(OpClass::IntAlu, 6, &b2), None);
-        let b3 = vec![false; 4];
-        assert_eq!(u.find_lane(OpClass::IntAlu, 7, &b3), Some(0));
+        assert_eq!(u.free_lanes(6), 0b1110);
+        assert_eq!(pick(&u, OpClass::IntAlu, 6, 0), Some(1));
+        assert_eq!(pick(&u, OpClass::IntAlu, 6, 0b0010), None);
+        assert_eq!(pick(&u, OpClass::IntAlu, 7, 0), Some(0));
     }
 
     #[test]
-    fn freeze_until_extends_hold() {
+    fn global_stall_shifts_pending_releases() {
         let mut u = units();
-        u.freeze_until(3, 20);
-        let blocked = vec![false; u.len()];
-        assert_eq!(u.find_lane(OpClass::Load, 20, &blocked), None);
-        assert_eq!(u.find_lane(OpClass::Load, 21, &blocked), Some(3));
+        u.occupy(3, 20, 0, false);
+        u.shift_pending_after(20, 2);
+        assert_eq!(pick(&u, OpClass::Load, 22, 0), None);
+        assert_eq!(pick(&u, OpClass::Load, 23, 0), Some(3));
         assert_eq!(u.kind(3), LaneKind::Mem);
     }
 

@@ -34,7 +34,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::inflight::{Slab, SlotId};
+use crate::inflight::{SlotId, Window};
 use crate::policy::IssueCandidate;
 use crate::rename::RenameTable;
 
@@ -63,7 +63,7 @@ struct EntryMeta {
     state: WakeState,
     /// The selection candidate, materialized once at dispatch — every
     /// field (seq, timestamp, fault/criticality bits, op class) is frozen
-    /// by then, so the per-cycle candidate walk never touches the slab.
+    /// by then, so the per-cycle candidate walk never touches the window.
     cand: IssueCandidate,
 }
 
@@ -192,9 +192,9 @@ impl IssueQueue {
     ///
     /// Panics if the queue is full (dispatch must check
     /// [`free`](IssueQueue::free)).
-    pub fn push(&mut self, rename: &RenameTable, slab: &Slab, slot: SlotId) {
+    pub fn push(&mut self, rename: &RenameTable, window: &Window, slot: SlotId) {
         assert!(self.entries.len() < self.capacity, "issue queue overflow");
-        let inst = slab.get(slot);
+        let inst = window.get(slot);
         let dispatch = inst.dispatch_cycle;
         let srcs = inst.src_phys;
         self.gen += 1;
@@ -210,7 +210,7 @@ impl IssueQueue {
             self.ensure_tag(p);
             self.dep_count[p as usize] += 1;
         }
-        let cand = Self::candidate(slab, slot);
+        let cand = Self::candidate(window, slot);
         let state = match Self::blocking_tag(rename, &srcs, dispatch, dispatch) {
             Some(tag) => {
                 self.push_waiter(tag, slot, gen);
@@ -375,25 +375,25 @@ impl IssueQueue {
     pub fn candidates_linear(
         &self,
         rename: &RenameTable,
-        slab: &Slab,
+        window: &Window,
         now: u64,
         out: &mut Vec<IssueCandidate>,
     ) {
         for &slot in &self.entries {
-            let inst = slab.get(slot);
+            let inst = window.get(slot);
             let ready = inst
                 .src_phys
                 .iter()
                 .flatten()
                 .all(|&p| rename.is_ready(p, now, inst.dispatch_cycle));
             if ready {
-                out.push(Self::candidate(slab, slot));
+                out.push(Self::candidate(window, slot));
             }
         }
     }
 
-    fn candidate(slab: &Slab, slot: SlotId) -> IssueCandidate {
-        let inst = slab.get(slot);
+    fn candidate(window: &Window, slot: SlotId) -> IssueCandidate {
+        let inst = window.get(slot);
         IssueCandidate {
             slot,
             seq: inst.seq(),
@@ -433,19 +433,6 @@ impl IssueQueue {
         }
     }
 
-    /// Retains only entries satisfying `pred` (squash path).
-    pub fn retain<F: FnMut(SlotId) -> bool>(&mut self, mut pred: F) {
-        let mut i = 0;
-        while i < self.entries.len() {
-            let slot = self.entries[i];
-            if pred(slot) {
-                i += 1;
-            } else {
-                self.remove(slot); // swap_remove: re-examine index i
-            }
-        }
-    }
-
     /// Criticality Detection Logic: the number of resident entries with a
     /// source operand matching the broadcast `tag` (paper §3.5.2 — the
     /// tag-match count fed to the encoder and compared against CT). Each
@@ -462,12 +449,19 @@ impl IssueQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inflight::InFlightInst;
+    use crate::inflight::{InFlightInst, Queue};
     use tv_workloads::{OpClass, TraceInst};
 
-    fn inst(seq: u64, srcs: [Option<u16>; 2]) -> InFlightInst {
+    /// An empty window whose first instruction carries seq 1.
+    fn window() -> Window {
+        Window::new(256, 1)
+    }
+
+    /// Dispatches the next instruction into `w`'s ROB, reading `srcs` at
+    /// cycle `dispatch`, and returns its slot.
+    fn admit(w: &mut Window, srcs: [Option<u16>; 2], dispatch: u64) -> SlotId {
         let mut i = InFlightInst::new(TraceInst {
-            seq,
+            seq: w.tail(),
             pc: 0x1000,
             op: OpClass::IntAlu,
             srcs: [None, None],
@@ -478,7 +472,12 @@ mod tests {
             operand_values: [0, 0],
         });
         i.src_phys = srcs;
-        i
+        i.dispatch_cycle = dispatch;
+        let slot = w.push_fetched(i);
+        for q in [Queue::Fetched, Queue::Decoded, Queue::Renamed] {
+            w.advance(q);
+        }
+        slot
     }
 
     /// A rename table where every register is ready at cycle 0.
@@ -489,12 +488,12 @@ mod tests {
     #[test]
     fn push_remove_capacity() {
         let rename = ready_rename();
-        let mut slab = Slab::new();
-        let a = slab.insert(inst(1, [None, None]));
-        let b = slab.insert(inst(2, [None, None]));
+        let mut w = window();
+        let a = admit(&mut w, [None, None], 0);
+        let b = admit(&mut w, [None, None], 0);
         let mut iq = IssueQueue::new(2);
-        iq.push(&rename, &slab, a);
-        iq.push(&rename, &slab, b);
+        iq.push(&rename, &w, a);
+        iq.push(&rename, &w, b);
         assert_eq!(iq.free(), 0);
         assert_eq!(iq.len(), 2);
         iq.remove(a);
@@ -509,12 +508,12 @@ mod tests {
     #[should_panic(expected = "issue queue overflow")]
     fn overflow_panics() {
         let rename = ready_rename();
-        let mut slab = Slab::new();
-        let a = slab.insert(inst(1, [None, None]));
-        let b = slab.insert(inst(2, [None, None]));
+        let mut w = window();
+        let a = admit(&mut w, [None, None], 0);
+        let b = admit(&mut w, [None, None], 0);
         let mut iq = IssueQueue::new(1);
-        iq.push(&rename, &slab, a);
-        iq.push(&rename, &slab, b);
+        iq.push(&rename, &w, a);
+        iq.push(&rename, &w, b);
     }
 
     #[test]
@@ -523,14 +522,14 @@ mod tests {
         // reservation stations. Entry `b` reads tag 40 through both
         // sources but is still one dependent.
         let rename = ready_rename();
-        let mut slab = Slab::new();
-        let a = slab.insert(inst(1, [Some(40), None]));
-        let b = slab.insert(inst(2, [Some(40), Some(40)]));
-        let c = slab.insert(inst(3, [Some(41), None]));
+        let mut w = window();
+        let a = admit(&mut w, [Some(40), None], 0);
+        let b = admit(&mut w, [Some(40), Some(40)], 0);
+        let c = admit(&mut w, [Some(41), None], 0);
         let mut iq = IssueQueue::new(8);
-        iq.push(&rename, &slab, a);
-        iq.push(&rename, &slab, b);
-        iq.push(&rename, &slab, c);
+        iq.push(&rename, &w, a);
+        iq.push(&rename, &w, b);
+        iq.push(&rename, &w, c);
         assert_eq!(iq.count_dependents(40), 2, "duplicate operand counts once");
         assert_eq!(iq.count_dependents(41), 1);
         assert_eq!(iq.count_dependents(42), 0);
@@ -543,50 +542,31 @@ mod tests {
         // entries only: dependents that issue or are squashed must fall
         // out of the count immediately.
         let rename = ready_rename();
-        let mut slab = Slab::new();
-        let a = slab.insert(inst(1, [Some(50), None]));
-        let b = slab.insert(inst(2, [Some(50), None]));
-        let c = slab.insert(inst(3, [Some(50), Some(50)]));
+        let mut w = window();
+        let a = admit(&mut w, [Some(50), None], 0);
+        let b = admit(&mut w, [Some(50), None], 0);
+        let c = admit(&mut w, [Some(50), Some(50)], 0);
         let mut iq = IssueQueue::new(8);
-        iq.push(&rename, &slab, a);
-        iq.push(&rename, &slab, b);
-        iq.push(&rename, &slab, c);
+        iq.push(&rename, &w, a);
+        iq.push(&rename, &w, b);
+        iq.push(&rename, &w, c);
         assert_eq!(iq.count_dependents(50), 3);
         iq.remove(b); // issued
         assert_eq!(iq.count_dependents(50), 2);
-        iq.retain(|s| s == a); // squash everything younger than a
+        iq.remove(c); // squashed
         assert_eq!(iq.count_dependents(50), 1);
-    }
-
-    #[test]
-    fn retain_squashes() {
-        let rename = ready_rename();
-        let mut slab = Slab::new();
-        let slots: Vec<SlotId> = (1..=4)
-            .map(|s| slab.insert(inst(s, [None, None])))
-            .collect();
-        let mut iq = IssueQueue::new(4);
-        for &s in &slots {
-            iq.push(&rename, &slab, s);
-        }
-        let keep = &slots[..2];
-        iq.retain(|s| keep.contains(&s));
-        assert_eq!(iq.len(), 2);
+        assert_eq!(iq.iter().collect::<Vec<_>>(), vec![a]);
     }
 
     #[test]
     fn wakeup_index_wakes_on_broadcast() {
         let mut rename = RenameTable::new(64);
-        let mut slab = Slab::new();
+        let mut w = window();
         let mut iq = IssueQueue::new(8);
         // Producer for tag 40 not issued yet.
         rename.rename_dst(tv_workloads::ArchReg::new(1)); // phys 32
-        let waiting = {
-            let mut i = inst(1, [Some(32), None]);
-            i.dispatch_cycle = 1;
-            slab.insert(i)
-        };
-        iq.push(&rename, &slab, waiting);
+        let waiting = admit(&mut w, [Some(32), None], 1);
+        iq.push(&rename, &w, waiting);
         let mut out = Vec::new();
         iq.collect_candidates(&rename, 2, &mut out);
         assert!(out.is_empty(), "producer has not broadcast");
@@ -607,15 +587,11 @@ mod tests {
         // A replay moves a pending broadcast later (monotone within the
         // epoch); the stale heap event must re-arm, not fire early.
         let mut rename = RenameTable::new(64);
-        let mut slab = Slab::new();
+        let mut w = window();
         let mut iq = IssueQueue::new(8);
         rename.rename_dst(tv_workloads::ArchReg::new(1)); // phys 32
-        let waiting = {
-            let mut i = inst(1, [Some(32), None]);
-            i.dispatch_cycle = 1;
-            slab.insert(i)
-        };
-        iq.push(&rename, &slab, waiting);
+        let waiting = admit(&mut w, [Some(32), None], 1);
+        iq.push(&rename, &w, waiting);
         rename.set_ready_cycle(32, 4, false);
         iq.note_broadcast(32, 4);
         // Replay: broadcast slips from 4 to 9.
@@ -634,18 +610,14 @@ mod tests {
         // An entry already woken can regress if a replay moves its
         // source later again; the `note_delay` mirror must demote it.
         let mut rename = RenameTable::new(64);
-        let mut slab = Slab::new();
+        let mut w = window();
         let mut iq = IssueQueue::new(8);
         rename.rename_dst(tv_workloads::ArchReg::new(1)); // phys 32
         rename.set_ready_cycle(32, 2, false);
         // set_ready_cycle calls are always mirrored by note_broadcast.
         iq.note_broadcast(32, 2);
-        let consumer = {
-            let mut i = inst(1, [Some(32), None]);
-            i.dispatch_cycle = 1;
-            slab.insert(i)
-        };
-        iq.push(&rename, &slab, consumer);
+        let consumer = admit(&mut w, [Some(32), None], 1);
+        iq.push(&rename, &w, consumer);
         let mut out = Vec::new();
         iq.collect_candidates(&rename, 2, &mut out);
         assert_eq!(out.len(), 1, "woken at the original broadcast");
@@ -664,15 +636,11 @@ mod tests {
     #[test]
     fn delayed_broadcast_wakes_waiters_one_cycle_late() {
         let mut rename = RenameTable::new(64);
-        let mut slab = Slab::new();
+        let mut w = window();
         let mut iq = IssueQueue::new(8);
         rename.rename_dst(tv_workloads::ArchReg::new(1)); // phys 32
-        let early = {
-            let mut i = inst(1, [Some(32), None]);
-            i.dispatch_cycle = 1; // dispatched before the broadcast: waits
-            slab.insert(i)
-        };
-        iq.push(&rename, &slab, early);
+        let early = admit(&mut w, [Some(32), None], 1);
+        iq.push(&rename, &w, early);
         // Issue-stage-faulty producer: broadcast at 6, held one cycle.
         rename.set_ready_cycle(32, 6, true);
         iq.note_broadcast(32, 7);
@@ -680,12 +648,8 @@ mod tests {
         iq.collect_candidates(&rename, 6, &mut out);
         assert!(out.is_empty(), "waiting consumer pays the held broadcast");
         // A consumer dispatched after the settled broadcast pays nothing.
-        let late = {
-            let mut i = inst(2, [Some(32), None]);
-            i.dispatch_cycle = 7;
-            slab.insert(i)
-        };
-        iq.push(&rename, &slab, late);
+        let late = admit(&mut w, [Some(32), None], 7);
+        iq.push(&rename, &w, late);
         out.clear();
         iq.collect_candidates(&rename, 7, &mut out);
         let slots: Vec<SlotId> = out.iter().map(|c| c.slot).collect();
@@ -697,20 +661,16 @@ mod tests {
         // Drive pushes and broadcasts, comparing the index against the
         // linear-scan oracle each cycle.
         let mut rename = RenameTable::new(64);
-        let mut slab = Slab::new();
+        let mut w = window();
         let mut iq = IssueQueue::new(8);
         for r in 1..=4 {
             rename.rename_dst(tv_workloads::ArchReg::new(r)); // phys 31+r
         }
         let slots: Vec<SlotId> = (0..4u16)
-            .map(|k| {
-                let mut i = inst(u64::from(k) + 1, [Some(32 + k), Some(32 + (k + 1) % 4)]);
-                i.dispatch_cycle = 1;
-                slab.insert(i)
-            })
+            .map(|k| admit(&mut w, [Some(32 + k), Some(32 + (k + 1) % 4)], 1))
             .collect();
         for &s in &slots {
-            iq.push(&rename, &slab, s);
+            iq.push(&rename, &w, s);
         }
         for (k, cycle) in [(0u16, 3u64), (1, 5), (2, 5), (3, 8)] {
             rename.set_ready_cycle(32 + k, cycle, false);
@@ -720,7 +680,7 @@ mod tests {
             let mut fast = Vec::new();
             let mut slow = Vec::new();
             iq.collect_candidates(&rename, now, &mut fast);
-            iq.candidates_linear(&rename, &slab, now, &mut slow);
+            iq.candidates_linear(&rename, &w, now, &mut slow);
             fast.sort_by_key(|c| c.slot);
             slow.sort_by_key(|c| c.slot);
             assert_eq!(fast, slow, "cycle {now}");
@@ -753,13 +713,14 @@ mod tests {
                         .new_phys
                 })
                 .collect();
-            let mut slab = Slab::new();
+            // A 32-slot window laps several times in 150 cycles, so slots
+            // are reused while stale waiter references to them remain.
+            let mut w = Window::new(32, 1);
             let mut iq = IssueQueue::new(12);
-            let mut seq = 0u64;
             for now in 0..150u64 {
                 // Dispatch up to two new consumers of random tags.
                 for _ in 0..(next(&mut s) % 3) {
-                    if iq.free() == 0 {
+                    if iq.free() == 0 || w.len() == 32 {
                         break;
                     }
                     let pick = |s: &mut u64| {
@@ -769,11 +730,9 @@ mod tests {
                             Some(tags[(next(s) as usize) % tags.len()])
                         }
                     };
-                    seq += 1;
-                    let mut i = inst(seq, [pick(&mut s), pick(&mut s)]);
-                    i.dispatch_cycle = now;
-                    let slot = slab.insert(i);
-                    iq.push(&rename, &slab, slot);
+                    let srcs = [pick(&mut s), pick(&mut s)];
+                    let slot = admit(&mut w, srcs, now);
+                    iq.push(&rename, &w, slot);
                 }
                 // Fresh broadcast of a not-yet-issued producer; mirror the
                 // pipeline's `set_ready_cycle` + `note_broadcast` pairing.
@@ -799,7 +758,7 @@ mod tests {
                 let mut fast = Vec::new();
                 let mut slow = Vec::new();
                 iq.collect_candidates(&rename, now, &mut fast);
-                iq.candidates_linear(&rename, &slab, now, &mut slow);
+                iq.candidates_linear(&rename, &w, now, &mut slow);
                 fast.sort_by_key(|c| c.slot);
                 slow.sort_by_key(|c| c.slot);
                 assert_eq!(fast, slow, "trial {trial}, cycle {now}");
@@ -807,7 +766,13 @@ mod tests {
                 if !fast.is_empty() && next(&mut s) % 2 == 0 {
                     let victim = fast[(next(&mut s) as usize) % fast.len()].slot;
                     iq.remove(victim);
-                    slab.remove(victim);
+                }
+                // Retire issued instructions from the head, in order.
+                while let Some(head) = w.front(Queue::Rob) {
+                    if iq.iter().any(|slot| slot == head) {
+                        break;
+                    }
+                    w.advance(Queue::Rob);
                 }
             }
         }

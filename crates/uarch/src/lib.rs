@@ -54,7 +54,6 @@ pub mod pipeline;
 pub mod policy;
 pub mod profile;
 pub mod rename;
-pub mod rob;
 pub mod stats;
 pub mod stream;
 mod values;

@@ -137,11 +137,6 @@ impl Lsq {
         self.stores.retain(|e| e.seq <= keep_seq);
     }
 
-    /// Current number of store-queue entries.
-    pub fn store_count(&self) -> usize {
-        self.stores.len()
-    }
-
     /// Total capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -219,9 +214,9 @@ mod tests {
             lsq.alloc_store(seq);
         }
         lsq.squash_stores_after(5);
-        assert_eq!(lsq.store_count(), 2);
+        assert_eq!(lsq.store_seqs(), vec![1, 5]);
         lsq.squash_stores_after(0);
-        assert_eq!(lsq.store_count(), 0);
+        assert_eq!(lsq.occupancy(), 0);
     }
 
     #[test]

@@ -38,13 +38,12 @@ use crate::cache::CacheHierarchy;
 use crate::cosim::{Feed, FedInst};
 use crate::config::{CoreConfig, LaneKind, RecoveryModel};
 use crate::exec::ExecUnits;
-use crate::inflight::{InFlightInst, Slab, SlotId};
+use crate::inflight::{InFlightInst, Queue, SlotId, Window};
 use crate::issue_queue::IssueQueue;
 use crate::lsq::Lsq;
 use crate::policy::{AgeBasedSelect, IssueCandidate, SelectPolicy};
 use crate::profile::{stage, timed_stage};
 use crate::rename::RenameTable;
-use crate::rob::Rob;
 use crate::stats::SimStats;
 use crate::stream::StreamMemo;
 use crate::values::ValuePlane;
@@ -91,14 +90,18 @@ impl ToleranceMode {
 /// Maximum occupancy of each inter-stage buffer.
 const FRONT_BUF: usize = 8;
 
+/// A pending event names its target instance by sequence number and
+/// dispatch cycle. Under flush recovery a squashed instruction's refetched
+/// twin reuses its seq (and so its window slot), but always dispatches
+/// strictly later, so the squashed instance's events never fire on it.
 #[derive(Debug, Clone, Copy)]
 enum Event {
     /// A mispredicted branch resolves; fetch may redirect.
-    Resolve { slot: SlotId, seq: u64 },
+    Resolve { seq: u64, dispatched: u64 },
     /// An unpredicted timing violation is detected; replay.
     ReplayFault {
-        slot: SlotId,
         seq: u64,
+        dispatched: u64,
         stage: PipeStage,
     },
 }
@@ -316,9 +319,11 @@ impl PipelineBuilder {
         let exec = ExecUnits::new(&self.cfg);
         let iq_entries = self.cfg.iq_entries;
         let phys_regs = self.cfg.phys_regs;
+        // Everything in flight fits: the ROB plus three full front-end
+        // queues.
+        let window_slots = (self.cfg.rob_entries + 3 * FRONT_BUF).next_power_of_two();
         Pipeline {
             rename: RenameTable::new(self.cfg.phys_regs),
-            rob: Rob::new(self.cfg.rob_entries),
             iq: IssueQueue::new(self.cfg.iq_entries),
             lsq: Lsq::new(self.cfg.lsq_entries),
             bp: BranchPredictor::default_geometry(),
@@ -326,7 +331,7 @@ impl PipelineBuilder {
             criticality_threshold: self.criticality_threshold,
             caches,
             exec,
-            slab: Slab::new(),
+            window: Window::new(window_slots, self.fast_forward),
             gen,
             workload_done: false,
             fault_model,
@@ -334,9 +339,6 @@ impl PipelineBuilder {
             mode: self.mode,
             cfg: self.cfg,
             cycle: 0,
-            fetch_q: VecDeque::new(),
-            decode_q: VecDeque::new(),
-            rename_q: VecDeque::new(),
             refetch: VecDeque::new(),
             fetch_stall_until: 0,
             fetch_blocked_on: None,
@@ -363,12 +365,6 @@ impl PipelineBuilder {
             commit_log: self.record_commits.then(Vec::new),
             values: self.oracle.then(|| ValuePlane::new(phys_regs, semantics)),
             cand_buf: Vec::with_capacity(iq_entries),
-            lane_blocked: Vec::new(),
-            sq_renamed: Vec::new(),
-            sq_decoded: Vec::new(),
-            sq_fetched: Vec::new(),
-            sq_rob: Vec::new(),
-            sq_ordered: Vec::new(),
         }
     }
 }
@@ -387,19 +383,15 @@ pub struct Pipeline {
     bp: BranchPredictor,
     caches: CacheHierarchy,
     rename: RenameTable,
-    rob: Rob,
     iq: IssueQueue,
     lsq: Lsq,
     exec: ExecUnits,
-    slab: Slab,
+    /// Every in-flight instruction: the ROB and the fetch, decode and
+    /// rename queues are ranges of it.
+    window: Window,
     cycle: u64,
-    /// Fetched, waiting for decode: `(ready_cycle, slot)`.
-    fetch_q: VecDeque<(u64, SlotId)>,
-    /// Decoded, waiting for rename.
-    decode_q: VecDeque<(u64, SlotId)>,
-    /// Renamed, waiting for dispatch.
-    rename_q: VecDeque<(u64, SlotId)>,
-    /// Squashed instructions awaiting refetch; `bool` = fault cleared.
+    /// Squashed instructions awaiting refetch, in seq order, the first at
+    /// the window's tail; `bool` = fault cleared.
     refetch: VecDeque<(TraceInst, bool)>,
     fetch_stall_until: u64,
     /// Sequence number of an unresolved mispredicted branch blocking fetch.
@@ -444,16 +436,9 @@ pub struct Pipeline {
     /// Architectural value plane + golden-model oracle, when enabled via
     /// the builder ([`PipelineBuilder::oracle`]). `None` costs nothing.
     values: Option<ValuePlane>,
-    /// Scratch buffers reused across cycles so the steady-state hot path
-    /// allocates nothing: issue candidates, the per-lane select mask, and
-    /// the squash-path drain/rollback/reorder lists.
+    /// Issue-candidate scratch buffer reused across cycles so the
+    /// steady-state hot path allocates nothing.
     cand_buf: Vec<IssueCandidate>,
-    lane_blocked: Vec<bool>,
-    sq_renamed: Vec<SlotId>,
-    sq_decoded: Vec<SlotId>,
-    sq_fetched: Vec<SlotId>,
-    sq_rob: Vec<SlotId>,
-    sq_ordered: Vec<SlotId>,
 }
 
 impl Pipeline {
@@ -503,8 +488,8 @@ impl Pipeline {
     pub fn occupancy(&self) -> (usize, usize, usize) {
         (
             self.iq.len(),
-            self.rob.len(),
-            self.fetch_q.len() + self.decode_q.len() + self.rename_q.len(),
+            self.window.len_of(Queue::Rob),
+            self.frontend_len(),
         )
     }
 
@@ -561,7 +546,12 @@ impl Pipeline {
     /// instruction has drained: nothing more will ever commit. Synthetic
     /// workloads never drain.
     pub fn drained(&self) -> bool {
-        self.workload_done && self.refetch.is_empty() && self.slab.len() == 0
+        self.workload_done && self.refetch.is_empty() && self.window.is_empty()
+    }
+
+    /// Occupancy of the fetch, decode and rename queues together.
+    fn frontend_len(&self) -> usize {
+        self.window.len() - self.window.len_of(Queue::Rob)
     }
 
     /// Runs a finite workload to its halt (or until `max_commits` more
@@ -647,8 +637,8 @@ impl Pipeline {
 
     /// Materializes the watchdog's diagnostic dump of the stuck machine.
     fn watchdog_error(&self, last_commit_cycle: u64) -> WatchdogError {
-        let rob_head = self.rob.head().map(|slot| {
-            let inst = self.slab.get(slot);
+        let rob_head = self.window.front(Queue::Rob).map(|slot| {
+            let inst = self.window.get(slot);
             RobHeadDump {
                 seq: inst.seq(),
                 pc: inst.trace.pc,
@@ -666,10 +656,10 @@ impl Pipeline {
             committed: self.stats.committed,
             next_commit_seq: self.next_commit_seq,
             rob_head,
-            rob_len: self.rob.len(),
+            rob_len: self.window.len_of(Queue::Rob),
             iq_len: self.iq.len(),
             lsq_occupancy: self.lsq.occupancy(),
-            frontend_len: self.fetch_q.len() + self.decode_q.len() + self.rename_q.len(),
+            frontend_len: self.frontend_len(),
             pending_ep_stalls: self.pending_ep_stalls,
             pending_recovery_stalls: self.pending_recovery_stalls,
             fetch_blocked_on: self.fetch_blocked_on,
@@ -712,7 +702,7 @@ impl Pipeline {
     /// invariant (`fetched = committed + squashed + in-flight`) holds.
     pub fn reset_stats(&mut self) {
         self.stats = SimStats::default();
-        self.stats.fetched = self.slab.len() as u64;
+        self.stats.fetched = self.window.len() as u64;
         self.cycle_base = self.cycle;
         self.freeze_base = self.exec.slot_freezes;
         self.search_base = self.lsq.searches;
@@ -811,9 +801,9 @@ impl Pipeline {
             fetched: self.stats.fetched,
             committed: self.stats.committed,
             squashed: self.stats.squashed,
-            in_flight: self.slab.len() as u64,
+            in_flight: self.window.len() as u64,
             next_commit_seq: self.next_commit_seq,
-            rob_head_seq: self.rob.head().map(|s| self.slab.get(s).seq()),
+            rob_head_seq: self.window.front(Queue::Rob).map(|s| self.window.get(s).seq()),
             timestamp_counter: self.timestamp_counter,
             rename_stall_until: self.rename_stall_until,
             dispatch_stall_until: self.dispatch_stall_until,
@@ -827,12 +817,18 @@ impl Pipeline {
             lsq_occupancy: self.lsq.occupancy(),
             lsq_capacity: self.lsq.capacity(),
             rob_seqs: if full {
-                self.rob.iter().map(|s| self.slab.get(s).seq()).collect()
+                self.window
+                    .range(Queue::Rob)
+                    .map(|seq| self.window.get(self.window.slot(seq)).seq())
+                    .collect()
             } else {
                 Vec::new()
             },
             inflight_timestamps: if full {
-                self.rob.iter().map(|s| self.slab.get(s).timestamp).collect()
+                self.window
+                    .range(Queue::Rob)
+                    .map(|seq| self.window.get(self.window.slot(seq)).timestamp)
+                    .collect()
             } else {
                 Vec::new()
             },
@@ -846,11 +842,10 @@ impl Pipeline {
                 Vec::new()
             },
             queue_ready: if full {
-                self.fetch_q
-                    .iter()
-                    .chain(self.decode_q.iter())
-                    .chain(self.rename_q.iter())
-                    .map(|&(ready, _)| ready)
+                [Queue::Fetched, Queue::Decoded, Queue::Renamed]
+                    .into_iter()
+                    .flat_map(|q| self.window.range(q))
+                    .map(|seq| self.window.get(self.window.slot(seq)).ready)
                     .collect()
             } else {
                 Vec::new()
@@ -889,9 +884,8 @@ impl Pipeline {
         self.values.as_ref().map(|v| v.memory().image())
     }
 
-    /// Slips every pending datapath timestamp by one cycle (the EP global
-    /// stall: all pipeline latches recirculate for a cycle).
-    /// Slips every pending future timestamp `delta` cycles later.
+    /// Slips every pending future timestamp `delta` cycles later (the EP
+    /// global stall: all pipeline latches recirculate).
     ///
     /// `delta == 1` is one recirculation stall cycle. Because each stall
     /// cycle shifts exactly the timestamps still beyond the *original*
@@ -900,9 +894,15 @@ impl Pipeline {
     /// shifts the same set by `delta` — so the walk can be coalesced into
     /// one pass when the window length is known up front.
     fn apply_global_stall(&mut self, now: u64, delta: u64) {
-        for i in 0..self.rob.len() {
-            let slot = self.rob.get(i).expect("index in range");
-            let inst = self.slab.get_mut(slot);
+        let rob = self.window.range(Queue::Rob);
+        for seq in rob.end..self.window.tail() {
+            let inst = self.window.get_mut(self.window.slot(seq));
+            if inst.ready > now {
+                inst.ready += delta;
+            }
+        }
+        for seq in rob {
+            let inst = self.window.get_mut(self.window.slot(seq));
             if let Some(c) = inst.complete_cycle {
                 if c > now {
                     inst.complete_cycle = Some(c + delta);
@@ -916,13 +916,6 @@ impl Pipeline {
         }
         self.rename.shift_pending_after(now, delta);
         self.exec.shift_pending_after(now, delta);
-        for q in [&mut self.fetch_q, &mut self.decode_q, &mut self.rename_q] {
-            for (ready, _) in q.iter_mut() {
-                if *ready > now {
-                    *ready += delta;
-                }
-            }
-        }
         if self.fetch_stall_until > now {
             self.fetch_stall_until += delta;
         }
@@ -972,28 +965,34 @@ impl Pipeline {
             debug_assert_eq!(ev.time, now, "event missed its cycle");
             self.events.pop();
             match ev.event {
-                Event::Resolve { slot, seq } => self.on_branch_resolve(now, slot, seq),
-                Event::ReplayFault { slot, seq, stage } => {
-                    self.on_replay_fault(now, slot, seq, stage)
+                Event::Resolve { seq, dispatched } => {
+                    if self.is_live(seq, dispatched) {
+                        self.on_branch_resolve(now, seq);
+                    }
+                }
+                Event::ReplayFault {
+                    seq,
+                    dispatched,
+                    stage,
+                } => {
+                    if self.is_live(seq, dispatched) {
+                        self.on_replay_fault(now, seq, stage);
+                    }
                 }
             }
         }
     }
 
-    fn slot_is_live(&self, slot: SlotId, seq: u64) -> bool {
-        // A squash may have freed (and reused) the slot; verify identity.
-        // Events only target ROB-resident instructions, so a refetched
-        // same-seq instance still in the front end must not match.
-        self.slab.contains(slot) && {
-            let inst = self.slab.get(slot);
-            inst.in_rob && inst.seq() == seq
-        }
+    /// Whether the instance an event names — `seq`, dispatched at cycle
+    /// `dispatched` — is still in the ROB. Events only target dispatched
+    /// instructions, so a refetched twin still in the front end must not
+    /// match, and neither may a twin that has re-dispatched since.
+    fn is_live(&self, seq: u64, dispatched: u64) -> bool {
+        self.window.range(Queue::Rob).contains(&seq)
+            && self.window.get(self.window.slot(seq)).dispatch_cycle == dispatched
     }
 
-    fn on_branch_resolve(&mut self, now: u64, slot: SlotId, seq: u64) {
-        if !self.slot_is_live(slot, seq) {
-            return;
-        }
+    fn on_branch_resolve(&mut self, now: u64, seq: u64) {
         if self.fetch_blocked_on == Some(seq) {
             self.fetch_blocked_on = None;
             self.fetch_stall_until = self
@@ -1002,13 +1001,11 @@ impl Pipeline {
         }
     }
 
-    fn on_replay_fault(&mut self, now: u64, slot: SlotId, seq: u64, stage: PipeStage) {
-        if !self.slot_is_live(slot, seq) {
-            return;
-        }
+    fn on_replay_fault(&mut self, now: u64, seq: u64, stage: PipeStage) {
+        let slot = self.window.slot(seq);
         self.stats.replays += 1;
         self.stats.record_fault(stage, false);
-        if let (Some(tep), Some(key)) = (self.tep.as_mut(), self.slab.get(slot).tep_key) {
+        if let (Some(tep), Some(key)) = (self.tep.as_mut(), self.window.get(slot).tep_key) {
             tep.train_fault_at(key, stage);
         }
         match self.cfg.recovery {
@@ -1020,7 +1017,7 @@ impl Pipeline {
                 let penalty = self.cfg.replay_penalty;
                 let dst;
                 {
-                    let inst = self.slab.get_mut(slot);
+                    let inst = self.window.get_mut(slot);
                     inst.actual_fault = None; // corrected by the replay
                     let complete = inst.complete_cycle.map(|c| c.max(now) + penalty);
                     inst.complete_cycle = complete;
@@ -1049,47 +1046,10 @@ impl Pipeline {
     /// queues them for refetch; the instruction `seq_min` itself is
     /// refetched with its fault cleared (the replay succeeds).
     fn squash_from(&mut self, seq_min: u64) {
-        // Scratch buffers live on the Pipeline so repeated squashes do
-        // not allocate.
-        let mut renamed_squashed = std::mem::take(&mut self.sq_renamed);
-        let mut decoded_squashed = std::mem::take(&mut self.sq_decoded);
-        let mut fetched_squashed = std::mem::take(&mut self.sq_fetched);
-        let mut rob_squashed = std::mem::take(&mut self.sq_rob);
-        renamed_squashed.clear();
-        decoded_squashed.clear();
-        fetched_squashed.clear();
-        rob_squashed.clear();
-
-        // 1. Front-end queues, youngest stage first. Only rename_q entries
-        //    have rename state to roll back, and they are all younger than
-        //    anything in the ROB, so rolling back in this order is
-        //    youngest-first overall.
-        let drain_frontend =
-            |q: &mut VecDeque<(u64, SlotId)>, slab: &Slab, out: &mut Vec<SlotId>| {
-                while let Some(&(_, slot)) = q.back() {
-                    if slab.get(slot).seq() >= seq_min {
-                        out.push(slot);
-                        q.pop_back();
-                    } else {
-                        break;
-                    }
-                }
-            };
-
-        // rename_q is youngest-first from the back.
-        drain_frontend(&mut self.rename_q, &self.slab, &mut renamed_squashed);
-        drain_frontend(&mut self.decode_q, &self.slab, &mut decoded_squashed);
-        drain_frontend(&mut self.fetch_q, &self.slab, &mut fetched_squashed);
-
-        // 2. ROB tail: youngest first.
-        let slab_ref = &self.slab;
-        self.rob
-            .drain_youngest_while_into(|slot| slab_ref.get(slot).seq() >= seq_min, &mut rob_squashed);
-
-        // Roll back rename state youngest-first: rename_q first (younger),
-        // then ROB tail entries.
-        for &slot in renamed_squashed.iter().chain(rob_squashed.iter()) {
-            let inst = self.slab.get(slot);
+        // Roll back rename state youngest-first over everything renamed:
+        // the rename queue, then the ROB's tail.
+        for seq in (seq_min..self.window.range(Queue::Renamed).end).rev() {
+            let inst = self.window.get(self.window.slot(seq));
             if let (Some(dst), Some(new_phys), Some(old_phys)) =
                 (inst.trace.dst, inst.dst_phys, inst.old_phys)
             {
@@ -1104,8 +1064,9 @@ impl Pipeline {
         }
 
         // Release window resources for ROB-resident squashed instructions.
-        for &slot in &rob_squashed {
-            let inst = self.slab.get(slot);
+        for seq in (seq_min..self.window.range(Queue::Rob).end).rev() {
+            let slot = self.window.slot(seq);
+            let inst = self.window.get(slot);
             self.iq.remove(slot);
             match inst.trace.op {
                 OpClass::Load => self.lsq.release_load(),
@@ -1126,45 +1087,16 @@ impl Pipeline {
             }
         }
 
-        // 3. Collect trace instructions in ascending seq order:
-        //    ROB part (drained youngest-first → reverse), then frontend
-        //    queues (renamed < decoded? No: rename_q holds OLDER
-        //    instructions than decode_q, which is older than fetch_q).
-        let mut ordered = std::mem::take(&mut self.sq_ordered);
-        ordered.clear();
-        ordered.extend(rob_squashed.iter().rev());
-        ordered.extend(renamed_squashed.iter().rev());
-        ordered.extend(decoded_squashed.iter().rev());
-        ordered.extend(fetched_squashed.iter().rev());
-
-        self.stats.squashed += ordered.len() as u64;
         // Anything still pending in the refetch queue (left over from an
-        // earlier squash) is younger than every in-flight instruction, so
-        // the newly squashed batch is prepended, oldest ending up first.
-        for (i, slot) in ordered.iter().enumerate().rev() {
-            let inst = self.slab.remove(*slot);
-            debug_assert_eq!(
-                inst.seq(),
-                seq_min + i as u64,
-                "squashed instructions must be contiguous"
-            );
-            let cleared = inst.seq() == seq_min;
-            self.refetch.push_front((inst.trace, cleared));
+        // earlier squash) continues the window's tail, so the squashed
+        // suffix is prepended youngest-first, oldest ending up first.
+        let tail = self.window.tail();
+        self.stats.squashed += tail - seq_min;
+        for seq in (seq_min..tail).rev() {
+            let trace = self.window.get(self.window.slot(seq)).trace;
+            self.refetch.push_front((trace, seq == seq_min));
         }
-        debug_assert!(
-            self.refetch
-                .iter()
-                .zip(self.refetch.iter().skip(1))
-                .all(|(a, b)| a.0.seq < b.0.seq),
-            "refetch queue out of order"
-        );
-
-        // Return the scratch buffers (keeping their capacity).
-        self.sq_renamed = renamed_squashed;
-        self.sq_decoded = decoded_squashed;
-        self.sq_fetched = fetched_squashed;
-        self.sq_rob = rob_squashed;
-        self.sq_ordered = ordered;
+        self.window.truncate(seq_min);
     }
 
     /// Handles a predicted or actual in-order-engine fault for the
@@ -1174,7 +1106,7 @@ impl Pipeline {
     /// cycle).
     fn handle_in_order_stage(&mut self, now: u64, slot: SlotId, stage: PipeStage) -> bool {
         let (predicted_here, actual, key) = {
-            let inst = self.slab.get(slot);
+            let inst = self.window.get(slot);
             (
                 self.mode.uses_predictor()
                     && !inst.in_order_charged
@@ -1185,7 +1117,7 @@ impl Pipeline {
         };
         let mut stall = false;
         if predicted_here {
-            self.slab.get_mut(slot).in_order_charged = true;
+            self.window.get_mut(slot).in_order_charged = true;
             // TEP-driven stall signal: the faulty stage completes in two
             // clock cycles (paper §2.2).
             stall = true;
@@ -1199,12 +1131,12 @@ impl Pipeline {
                     PipeStage::Dispatch => self.audit_admits[1],
                     _ => self.audit_admits[2],
                 };
-                let seq = self.slab.get(slot).seq();
+                let seq = self.window.get(slot).seq();
                 self.audit_charges.push((stage, seq, admits_now));
             }
             if actual == Some(stage) {
                 self.stats.record_fault(stage, true);
-                self.slab.get_mut(slot).actual_fault = None;
+                self.window.get_mut(slot).actual_fault = None;
                 if let (Some(tep), Some(key)) = (self.tep.as_mut(), key) {
                     tep.train_fault_at(key, stage);
                 }
@@ -1227,7 +1159,7 @@ impl Pipeline {
         self.stats.replays += 1;
         self.stats.record_fault(stage, false);
         let key = {
-            let inst = self.slab.get_mut(slot);
+            let inst = self.window.get_mut(slot);
             inst.actual_fault = None; // corrected by the replay
             inst.tep_key
         };
@@ -1247,9 +1179,8 @@ impl Pipeline {
             if self.stats.committed >= self.commit_limit {
                 break;
             }
-            let Some(slot) = self.rob.head() else { break };
-            let inst = self.slab.get(slot);
-            match inst.complete_cycle {
+            let Some(slot) = self.window.front(Queue::Rob) else { break };
+            match self.window.get(slot).complete_cycle {
                 Some(c) if c <= now => {}
                 _ => break,
             }
@@ -1257,9 +1188,8 @@ impl Pipeline {
                 self.retire_stall_until = now + 2;
                 break;
             }
-            let slot = self.rob.pop_head().expect("head exists");
-            let inst = self.slab.remove(slot);
-            self.iq.remove(slot); // issued entries are already gone; safety
+            let inst = *self.window.get(slot);
+            self.window.advance(Queue::Rob);
             assert_eq!(
                 inst.seq(),
                 self.next_commit_seq,
@@ -1381,25 +1311,22 @@ impl Pipeline {
             debug_assert_eq!(before, after, "policy must permute, not alter");
         }
 
-        // Select: greedy lane assignment in priority order.
+        // Select: greedy lane assignment in priority order, each candidate
+        // taking the lowest free lane that accepts its op.
         timed_stage!(stage::ISSUE_SEL, {
-            let mut blocked = std::mem::take(&mut self.lane_blocked);
-            blocked.clear();
-            blocked.resize(self.exec.len(), false);
+            let mut free = self.exec.free_lanes(now);
             let mut issued = 0usize;
-            for i in 0..candidates.len() {
-                if issued == self.cfg.width {
+            for cand in &candidates {
+                if issued == self.cfg.width || free == 0 {
                     break;
                 }
-                let cand = candidates[i];
-                let Some(lane) = self.exec.find_lane(cand.op, now, &blocked) else {
+                let Some(lane) = self.exec.lane_for(cand.op, free) else {
                     continue;
                 };
-                blocked[lane] = true;
+                free &= !(1 << lane);
                 issued += 1;
                 self.issue_one(now, cand.slot, lane);
             }
-            self.lane_blocked = blocked;
         });
         self.cand_buf = candidates;
     }
@@ -1411,7 +1338,7 @@ impl Pipeline {
         // result tag at broadcast (paper §3.5.2), then store the verdict
         // with the TEP so future instances of the PC carry it.
         let (dst_phys, tep_key) = {
-            let inst = self.slab.get(slot);
+            let inst = self.window.get(slot);
             (inst.dst_phys, inst.tep_key)
         };
         if self.criticality_threshold > 0 {
@@ -1424,9 +1351,10 @@ impl Pipeline {
             }
         }
 
-        let inst = self.slab.get(slot);
+        let inst = self.window.get(slot);
         let op = inst.trace.op;
         let seq = inst.seq();
+        let dispatched = inst.dispatch_cycle;
         let treated_faulty = self.mode.uses_predictor() && inst.treated_as_faulty();
         let predicted_stage = inst.predicted_fault;
         let actual = inst.actual_fault.filter(|s| s.is_ooo());
@@ -1494,7 +1422,14 @@ impl Pipeline {
                     _ => complete,
                 }
                 .min(complete);
-                self.schedule_event(detect, Event::ReplayFault { slot, seq, stage });
+                self.schedule_event(
+                    detect,
+                    Event::ReplayFault {
+                        seq,
+                        dispatched,
+                        stage,
+                    },
+                );
             }
         }
 
@@ -1514,7 +1449,7 @@ impl Pipeline {
 
         // Branch resolution event (to unblock fetch after mispredicts).
         if op.is_branch() && mispredicted {
-            self.schedule_event(complete, Event::Resolve { slot, seq });
+            self.schedule_event(complete, Event::Resolve { seq, dispatched });
         }
 
         // Result broadcast. For RegRead/Execute/Memory faults the result
@@ -1543,7 +1478,7 @@ impl Pipeline {
             }
         }
 
-        let inst = self.slab.get_mut(slot);
+        let inst = self.window.get_mut(slot);
         inst.issue_cycle = Some(now);
         inst.wake_cycle = Some(wake);
         inst.complete_cycle = Some(complete);
@@ -1567,14 +1502,17 @@ impl Pipeline {
             return;
         }
         for _ in 0..self.cfg.width {
-            let Some(&(ready, slot)) = self.rename_q.front() else { break };
-            if ready > now || self.rob.free() == 0 || self.iq.free() == 0 {
+            let Some(slot) = self.window.front(Queue::Renamed) else { break };
+            let inst = self.window.get(slot);
+            if inst.ready > now
+                || self.window.len_of(Queue::Rob) == self.cfg.rob_entries
+                || self.iq.free() == 0
+            {
                 break;
             }
-            let op = self.slab.get(slot).trace.op;
-            let seq = self.slab.get(slot).seq();
+            let (op, seq) = (inst.trace.op, inst.seq());
             // Resource check before the fault is charged: a load/store
-            // that cannot allocate its LSQ entry stays in rename_q and
+            // that cannot allocate its LSQ entry stays renamed and
             // must not consume its predicted fault (stall counted, TEP
             // trained) in a cycle where it cannot dispatch.
             if matches!(op, OpClass::Load | OpClass::Store) && self.lsq.free() == 0 {
@@ -1598,15 +1536,13 @@ impl Pipeline {
                 }
                 _ => {}
             }
-            self.rename_q.pop_front();
+            self.window.advance(Queue::Renamed);
             let ts = self.timestamp_counter;
             self.timestamp_counter = (self.timestamp_counter + 1) & 63;
-            let inst = self.slab.get_mut(slot);
+            let inst = self.window.get_mut(slot);
             inst.timestamp = ts;
             inst.dispatch_cycle = now;
-            inst.in_rob = true;
-            self.rob.push(slot);
-            self.iq.push(&self.rename, &self.slab, slot);
+            self.iq.push(&self.rename, &self.window, slot);
             self.stats.activity.dispatches += 1;
             if self.audit.is_some() {
                 self.audit_admits[1] += 1;
@@ -1621,8 +1557,9 @@ impl Pipeline {
             return;
         }
         for _ in 0..self.cfg.width {
-            let Some(&(ready, slot)) = self.decode_q.front() else { break };
-            if ready > now || self.rename_q.len() >= FRONT_BUF {
+            let Some(slot) = self.window.front(Queue::Decoded) else { break };
+            let full = self.window.len_of(Queue::Renamed) >= FRONT_BUF;
+            if full || self.window.get(slot).ready > now {
                 break;
             }
             if self.handle_in_order_stage(now, slot, PipeStage::Rename) {
@@ -1633,7 +1570,7 @@ impl Pipeline {
             }
             // Source lookups first (read-before-write within the group is
             // handled by processing instructions in order).
-            let trace = self.slab.get(slot).trace;
+            let trace = self.window.get(slot).trace;
             let mut src_phys = [None, None];
             for (i, src) in trace.srcs.iter().enumerate() {
                 if let Some(r) = src {
@@ -1652,13 +1589,12 @@ impl Pipeline {
                     None => break, // no free physical register: stall
                 }
             }
-            self.decode_q.pop_front();
-            let inst = self.slab.get_mut(slot);
+            self.window.advance(Queue::Decoded);
+            let inst = self.window.get_mut(slot);
             inst.src_phys = src_phys;
             inst.dst_phys = dst_phys;
             inst.old_phys = old_phys;
-            self.rename_q
-                .push_back((now + self.cfg.rename_latency, slot));
+            inst.ready = now + self.cfg.rename_latency;
             if self.audit.is_some() {
                 self.audit_admits[0] += 1;
             }
@@ -1669,17 +1605,18 @@ impl Pipeline {
 
     fn decode(&mut self, now: u64) {
         for _ in 0..self.cfg.width {
-            let Some(&(ready, slot)) = self.fetch_q.front() else { break };
-            if ready > now || self.decode_q.len() >= FRONT_BUF {
+            let Some(slot) = self.window.front(Queue::Fetched) else { break };
+            let full = self.window.len_of(Queue::Decoded) >= FRONT_BUF;
+            if full || self.window.get(slot).ready > now {
                 break;
             }
-            self.fetch_q.pop_front();
+            self.window.advance(Queue::Fetched);
             self.stats.activity.decodes += 1;
             // Fetch/decode violations cannot be mitigated by the TEP —
             // "any violations in these two stages are mitigated using
             // instruction replay" (paper §2.2).
             let front_fault = self
-                .slab
+                .window
                 .get(slot)
                 .actual_fault
                 .filter(|s| s.is_replay_only());
@@ -1690,7 +1627,7 @@ impl Pipeline {
             }
 
             let (pc, op, taken, seq) = {
-                let t = &self.slab.get(slot).trace;
+                let t = &self.window.get(slot).trace;
                 (t.pc, t.op, t.taken, t.seq)
             };
             if let Some(tep) = self.tep.as_mut() {
@@ -1701,7 +1638,7 @@ impl Pipeline {
                     .unwrap_or(true);
                 let key = tep.lookup_key(pc);
                 let pred = tep.predict(pc, armed);
-                let inst = self.slab.get_mut(slot);
+                let inst = self.window.get_mut(slot);
                 inst.tep_key = Some(key);
                 if pred.faulty {
                     inst.predicted_fault = pred.stage;
@@ -1713,7 +1650,7 @@ impl Pipeline {
                     }
                 }
             }
-            self.decode_q.push_back((now + 1, slot));
+            self.window.get_mut(slot).ready = now + 1;
         }
     }
 
@@ -1728,12 +1665,12 @@ impl Pipeline {
             self.stats.activity.fetch_stall_cycles += 1;
             return;
         }
-        if self.fetch_q.len() >= FRONT_BUF {
+        if self.window.len_of(Queue::Fetched) >= FRONT_BUF {
             self.stats.activity.fetch_full_cycles += 1;
         }
         let mut fetched_group = false;
         for _ in 0..self.cfg.width {
-            if self.fetch_q.len() >= FRONT_BUF {
+            if self.window.len_of(Queue::Fetched) >= FRONT_BUF {
                 break;
             }
             let (trace, fault, shared_mispred) = match self.refetch.pop_front() {
@@ -1777,7 +1714,7 @@ impl Pipeline {
             } else {
                 0
             };
-            let ready = now + self.cfg.frontend_latency + icache_extra;
+            inst.ready = now + self.cfg.frontend_latency + icache_extra;
 
             // Branch prediction against the resolved trace outcome.
             let mut ends_group = false;
@@ -1813,8 +1750,7 @@ impl Pipeline {
             }
 
             let seq = inst.seq();
-            let slot = self.slab.insert(inst);
-            self.fetch_q.push_back((ready, slot));
+            self.window.push_fetched(inst);
             self.stats.fetched += 1;
             self.stats.activity.fetches += 1;
 
@@ -2095,8 +2031,27 @@ mod tests {
             .build();
         let stats = pipe.run(25_000);
         // fetched = committed + squashed + still-in-flight
-        let in_flight = pipe.slab.len() as u64;
+        let in_flight = pipe.window.len() as u64;
         assert_eq!(stats.fetched, stats.committed + stats.squashed + in_flight);
+    }
+
+    /// Fetches `inst` as the window's next instruction and moves it
+    /// forward into range `to`, ready (or dispatched) at `now`. Ranges
+    /// younger than `to` must be empty, as they are when a test fills the
+    /// window oldest-first.
+    fn admit(pipe: &mut Pipeline, mut inst: InFlightInst, to: Queue, now: u64) -> SlotId {
+        inst.trace.seq = pipe.window.tail();
+        inst.trace.pc = 0x8000 + 4 * inst.trace.seq;
+        inst.ready = now;
+        inst.dispatch_cycle = now;
+        let slot = pipe.window.push_fetched(inst);
+        for q in [Queue::Fetched, Queue::Decoded, Queue::Renamed] {
+            if q == to {
+                break;
+            }
+            pipe.window.advance(q);
+        }
+        slot
     }
 
     /// Builds a ViolationAware pipeline plus one in-flight ALU instruction
@@ -2104,27 +2059,12 @@ mod tests {
     /// destination renamed — ready for a direct `issue_one` micro-step.
     fn micro_issue_setup(stage: PipeStage, now: u64) -> (Pipeline, SlotId, u16) {
         use tv_workloads::ArchReg;
-        let mut pipe = Pipeline::builder(Benchmark::Gcc, 7)
-            .tolerance(ToleranceMode::ViolationAware)
-            .voltage(Voltage::high_fault())
-            .build();
+        let mut pipe = vte_pipe();
         let dst = pipe.rename.rename_dst(ArchReg::new(5)).unwrap().new_phys;
-        let mut inst = InFlightInst::new(TraceInst {
-            seq: 1,
-            pc: 0x4000,
-            op: OpClass::IntAlu,
-            srcs: [None, None],
-            dst: None,
-            mem_addr: None,
-            taken: None,
-            target: None,
-            operand_values: [0, 0],
-        });
+        let mut inst = frontend_inst(OpClass::IntAlu, Some(stage));
         inst.dst_phys = Some(dst);
-        inst.predicted_fault = Some(stage);
-        inst.dispatch_cycle = now;
-        let slot = pipe.slab.insert(inst);
-        pipe.iq.push(&pipe.rename, &pipe.slab, slot);
+        let slot = admit(&mut pipe, inst, Queue::Rob, now);
+        pipe.iq.push(&pipe.rename, &pipe.window, slot);
         (pipe, slot, dst)
     }
 
@@ -2138,7 +2078,7 @@ mod tests {
         let (mut pipe, slot, dst) = micro_issue_setup(PipeStage::Issue, now);
         pipe.issue_one(now, slot, 0);
 
-        let wake = pipe.slab.get(slot).wake_cycle.unwrap();
+        let wake = pipe.window.get(slot).wake_cycle.unwrap();
         assert_eq!(
             wake,
             now + pipe.cfg.exec_latency(OpClass::IntAlu),
@@ -2161,12 +2101,9 @@ mod tests {
         let (mut pipe, slot, _) = micro_issue_setup(PipeStage::Issue, now);
         pipe.issue_one(now, slot, 0);
 
-        let only_lane0 = [false, true, true, true];
-        assert_eq!(pipe.exec.find_lane(OpClass::IntAlu, now + 1, &only_lane0), None);
-        assert_eq!(
-            pipe.exec.find_lane(OpClass::IntAlu, now + 2, &only_lane0),
-            Some(0)
-        );
+        let lane0 = |cycle| pipe.exec.lane_for(OpClass::IntAlu, pipe.exec.free_lanes(cycle) & 1);
+        assert_eq!(lane0(now + 1), None);
+        assert_eq!(lane0(now + 2), Some(0));
         assert_eq!(pipe.exec.slot_freezes, 1);
     }
 
@@ -2179,7 +2116,7 @@ mod tests {
         let (mut pipe, slot, dst) = micro_issue_setup(PipeStage::Execute, now);
         pipe.issue_one(now, slot, 0);
 
-        let wake = pipe.slab.get(slot).wake_cycle.unwrap();
+        let wake = pipe.window.get(slot).wake_cycle.unwrap();
         assert_eq!(
             wake,
             now + pipe.cfg.exec_latency(OpClass::IntAlu) + 1,
@@ -2220,15 +2157,16 @@ mod tests {
         assert!(stats.committed >= 2_000, "well past many counter wraps");
         assert!(pipe.timestamp_counter < 64);
         for slot in pipe.iq.iter() {
-            assert!(pipe.slab.get(slot).timestamp < 64);
+            assert!(pipe.window.get(slot).timestamp < 64);
         }
     }
 
-    /// Builds a bare in-flight instruction for direct stage micro-tests.
-    fn frontend_inst(seq: u64, op: OpClass, predicted: Option<PipeStage>) -> InFlightInst {
+    /// Builds a bare in-flight instruction for direct stage micro-tests
+    /// ([`admit`] gives it its seq and pc).
+    fn frontend_inst(op: OpClass, predicted: Option<PipeStage>) -> InFlightInst {
         let mut inst = InFlightInst::new(TraceInst {
-            seq,
-            pc: 0x8000 + seq * 4,
+            seq: 0,
+            pc: 0,
             op,
             srcs: [None, None],
             dst: None,
@@ -2256,24 +2194,25 @@ mod tests {
         // whole group dispatched in the charge cycle.
         let now = 50;
         let mut pipe = vte_pipe();
-        let faulty = pipe
-            .slab
-            .insert(frontend_inst(1, OpClass::IntAlu, Some(PipeStage::Dispatch)));
-        let twin = pipe.slab.insert(frontend_inst(2, OpClass::IntAlu, None));
-        pipe.rename_q.push_back((now, faulty));
-        pipe.rename_q.push_back((now, twin));
+        let faulty = frontend_inst(OpClass::IntAlu, Some(PipeStage::Dispatch));
+        admit(&mut pipe, faulty, Queue::Renamed, now);
+        admit(&mut pipe, frontend_inst(OpClass::IntAlu, None), Queue::Renamed, now);
 
         pipe.dispatch(now);
         assert_eq!(pipe.stats.in_order_stalls, 1, "fault charged at the stall signal");
-        assert_eq!(pipe.rob.len(), 0, "nothing dispatches in the charge cycle");
-        assert_eq!(pipe.rename_q.len(), 2);
+        assert_eq!(pipe.window.len_of(Queue::Rob), 0, "nothing dispatches in the charge cycle");
+        assert_eq!(pipe.window.len_of(Queue::Renamed), 2);
         assert_eq!(pipe.dispatch_stall_until, now + 2);
 
         pipe.dispatch(now + 1);
-        assert_eq!(pipe.rob.len(), 0, "the stage admits nothing in its second cycle");
+        assert_eq!(
+            pipe.window.len_of(Queue::Rob),
+            0,
+            "the stage admits nothing in its second cycle"
+        );
 
         pipe.dispatch(now + 2);
-        assert_eq!(pipe.rob.len(), 2, "both dispatch once the signal clears");
+        assert_eq!(pipe.window.len_of(Queue::Rob), 2, "both dispatch once the signal clears");
         assert_eq!(pipe.stats.in_order_stalls, 1, "fault charged exactly once");
     }
 
@@ -2281,23 +2220,20 @@ mod tests {
     fn rename_stall_holds_faulty_inst_and_width_group() {
         let now = 50;
         let mut pipe = vte_pipe();
-        let faulty = pipe
-            .slab
-            .insert(frontend_inst(1, OpClass::IntAlu, Some(PipeStage::Rename)));
-        let twin = pipe.slab.insert(frontend_inst(2, OpClass::IntAlu, None));
-        pipe.decode_q.push_back((now, faulty));
-        pipe.decode_q.push_back((now, twin));
+        let faulty = frontend_inst(OpClass::IntAlu, Some(PipeStage::Rename));
+        admit(&mut pipe, faulty, Queue::Decoded, now);
+        admit(&mut pipe, frontend_inst(OpClass::IntAlu, None), Queue::Decoded, now);
 
         pipe.rename_stage(now);
         assert_eq!(pipe.stats.in_order_stalls, 1);
-        assert!(pipe.rename_q.is_empty(), "nothing renames in the charge cycle");
+        assert_eq!(pipe.window.len_of(Queue::Renamed), 0, "nothing renames in the charge cycle");
         assert_eq!(pipe.rename_stall_until, now + 2);
 
         pipe.rename_stage(now + 1);
-        assert!(pipe.rename_q.is_empty(), "second stall cycle admits nothing");
+        assert_eq!(pipe.window.len_of(Queue::Renamed), 0, "second stall cycle admits nothing");
 
         pipe.rename_stage(now + 2);
-        assert_eq!(pipe.rename_q.len(), 2, "both rename once the signal clears");
+        assert_eq!(pipe.window.len_of(Queue::Renamed), 2, "both rename once the signal clears");
         assert_eq!(pipe.stats.in_order_stalls, 1);
     }
 
@@ -2319,9 +2255,108 @@ mod tests {
     }
 
     #[test]
+    fn squash_inside_the_rob_restores_cursors_and_refetches_in_order() {
+        use tv_workloads::ArchReg;
+        let now = 40;
+        let mut pipe = vte_pipe();
+        let mapping = |pipe: &Pipeline| -> Vec<u16> {
+            (1..=9).map(|r| pipe.rename.lookup(ArchReg::new(r))).collect()
+        };
+        let before = mapping(&pipe);
+        // Seqs 0-2 in the ROB (and issue queue), 3-4 renamed, 5-6 decoded,
+        // 7-8 fetched; everything renamed writes its own register.
+        let plan = [Queue::Rob, Queue::Rob, Queue::Rob, Queue::Renamed, Queue::Renamed]
+            .into_iter()
+            .chain([Queue::Decoded; 2])
+            .chain([Queue::Fetched; 2]);
+        for (seq, q) in plan.enumerate() {
+            let mut inst = frontend_inst(OpClass::IntAlu, None);
+            if matches!(q, Queue::Rob | Queue::Renamed) {
+                let reg = ArchReg::new(seq as u8 + 1);
+                let renamed = pipe.rename.rename_dst(reg).expect("free registers");
+                inst.trace.dst = Some(reg);
+                inst.dst_phys = Some(renamed.new_phys);
+                inst.old_phys = Some(renamed.old_phys);
+            }
+            let slot = admit(&mut pipe, inst, q, now);
+            if q == Queue::Rob {
+                pipe.iq.push(&pipe.rename, &pipe.window, slot);
+            }
+        }
+
+        pipe.squash_from(1);
+        assert_eq!(pipe.window.range(Queue::Rob), 0..1);
+        for q in [Queue::Renamed, Queue::Decoded, Queue::Fetched] {
+            assert_eq!(pipe.window.range(q), 1..1, "{q:?}");
+        }
+        assert_eq!(pipe.iq.len(), 1, "squashed entries leave the issue queue");
+        assert_eq!(pipe.stats.squashed, 8);
+        let refetch: Vec<(u64, bool)> = pipe.refetch.iter().map(|&(t, c)| (t.seq, c)).collect();
+        let expected: Vec<(u64, bool)> = (1..9).map(|seq| (seq, seq == 1)).collect();
+        assert_eq!(refetch, expected, "seq order; only the replayed instance is cleared");
+        let after = mapping(&pipe);
+        assert_ne!(after[0], before[0], "seq 0 keeps its rename");
+        assert_eq!(after[1..], before[1..], "every squashed rename is rolled back");
+
+        // Refetch re-enters the suffix at the window's tail, in order.
+        pipe.fetch(now + 1);
+        assert_eq!(pipe.window.range(Queue::Fetched), 1..5);
+        assert_eq!(pipe.refetch.front().map(|(t, _)| t.seq), Some(5));
+    }
+
+    /// A flush-recovery Razor pipeline whose only instruction, a
+    /// mispredicted branch with an unpredicted Execute fault dispatched at
+    /// `now - 1`, issues at `now`: its ReplayFault and Resolve events are
+    /// both due at `now + 2`.
+    fn flush_pipe_with_pending_events(now: u64) -> Pipeline {
+        let cfg = CoreConfig {
+            recovery: RecoveryModel::Flush,
+            ..CoreConfig::core1()
+        };
+        let mut pipe = Pipeline::builder(Benchmark::Gcc, 7)
+            .config(cfg)
+            .tolerance(ToleranceMode::Razor)
+            .voltage(Voltage::high_fault())
+            .build();
+        let mut branch = frontend_inst(OpClass::CondBranch, None);
+        branch.branch_mispredicted = true;
+        branch.actual_fault = Some(PipeStage::Execute);
+        let slot = admit(&mut pipe, branch, Queue::Rob, now - 1);
+        pipe.fetch_blocked_on = Some(0);
+        pipe.issue_one(now, slot, 0);
+        assert_eq!(pipe.events.len(), 2);
+        pipe
+    }
+
+    #[test]
+    fn squashed_instance_events_are_ignored_by_its_twin() {
+        let now = 30;
+        // Control: the events fire on the instance they name.
+        let mut pipe = flush_pipe_with_pending_events(now);
+        pipe.process_events(now + 2);
+        assert_eq!(pipe.stats.replays, 1);
+
+        // Squash the instance, then refetch and re-dispatch its twin: same
+        // seq, same slot, still a mispredicted branch blocking fetch.
+        let mut pipe = flush_pipe_with_pending_events(now);
+        pipe.squash_from(0);
+        let (trace, _) = pipe.refetch.pop_front().expect("squashed instance awaits refetch");
+        let mut twin = InFlightInst::new(trace);
+        twin.branch_mispredicted = true;
+        admit(&mut pipe, twin, Queue::Rob, now + 1);
+        pipe.fetch_blocked_on = Some(0);
+
+        pipe.process_events(now + 2);
+        assert_eq!(pipe.stats.replays, 0, "the original's ReplayFault must not replay the twin");
+        assert_eq!(pipe.fetch_blocked_on, Some(0), "nor its Resolve unblock fetch");
+        assert_eq!(pipe.window.range(Queue::Rob), 0..1);
+        assert_eq!(pipe.stats.squashed, 1);
+    }
+
+    #[test]
     fn lsq_full_dispatch_does_not_consume_predicted_fault() {
         // The LSQ availability check must come before the fault is charged:
-        // a load that cannot allocate its LSQ entry stays in rename_q with
+        // a load that cannot allocate its LSQ entry stays renamed with
         // its predicted fault intact, and pays the two-cycle stall in the
         // cycle it actually dispatches.
         let now = 50;
@@ -2329,15 +2364,13 @@ mod tests {
         while pipe.lsq.free() > 0 {
             assert!(pipe.lsq.alloc_load());
         }
-        let load = pipe
-            .slab
-            .insert(frontend_inst(1, OpClass::Load, Some(PipeStage::Dispatch)));
-        pipe.rename_q.push_back((now, load));
+        let load = frontend_inst(OpClass::Load, Some(PipeStage::Dispatch));
+        let load = admit(&mut pipe, load, Queue::Renamed, now);
 
         pipe.dispatch(now);
         assert_eq!(pipe.stats.in_order_stalls, 0, "no charge while the LSQ blocks dispatch");
-        assert!(!pipe.slab.get(load).in_order_charged);
-        assert_eq!(pipe.rename_q.len(), 1);
+        assert!(!pipe.window.get(load).in_order_charged);
+        assert_eq!(pipe.window.len_of(Queue::Renamed), 1);
 
         pipe.lsq.release_load();
         pipe.dispatch(now + 1);
@@ -2345,7 +2378,7 @@ mod tests {
         assert_eq!(pipe.dispatch_stall_until, now + 3);
 
         pipe.dispatch(now + 3);
-        assert_eq!(pipe.rob.len(), 1, "load dispatches after its second cycle");
+        assert_eq!(pipe.window.len_of(Queue::Rob), 1, "load dispatches after its second cycle");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use tv_workloads::OpClass;
 /// A selection candidate: one operand-ready issue-queue entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IssueCandidate {
-    /// Slab slot of the instruction.
+    /// Window slot of the instruction.
     pub slot: crate::inflight::SlotId,
     /// Dynamic sequence number (true age; unique).
     pub seq: u64,

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full offline verification: build, test, regenerate the committed
-# goldens (differential audit, fig4, table1, RISC-V runs, campaigns) and
+# Full offline verification: build (the stage-profile build included),
+# test, regenerate the committed goldens (differential audit, fig4,
+# table1, recovery_ablation, RISC-V runs, campaigns) and
 # require them byte for byte, drive the kill/resume, process-fleet,
 # server, fsck and chaos legs, check the parallel engine's determinism
 # contract by regenerating fig4 at several worker counts, and finish with
@@ -19,6 +20,11 @@ SKIP_SWEEP=0
 
 echo "==> cargo build --release --workspace (offline)"
 cargo build --release --workspace --offline
+
+echo "==> cargo check: the stage-profile build"
+# The `timed_stage!` probes compile to nothing by default; this builds
+# them, so a change to a profiled stage cannot leave the profiler broken.
+cargo check --release --offline -p tv-bench --features stage-profile
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace --offline
@@ -56,6 +62,15 @@ cargo run --release -q -p tv-bench --bin table1 --offline -- \
     --out "$tmp_golden" >/dev/null 2>&1
 cmp "$tmp_golden/table1.csv" bench_results/table1.csv
 echo "    table1.csv byte-identical to the committed golden"
+
+echo "==> exact golden: recovery_ablation at the committed length, byte-identical"
+# The only committed golden whose runs squash and refetch (its flush
+# column), so the only one that exercises the squash path end to end.
+cargo run --release -q -p tv-bench --bin recovery_ablation --offline -- \
+    --commits 300000 --warmup 100000 --seed 42 --workers 1 \
+    --out "$tmp_golden" >/dev/null 2>&1
+cmp "$tmp_golden/recovery_ablation.csv" bench_results/recovery_ablation.csv
+echo "    recovery_ablation.csv byte-identical to the committed golden"
 rm -rf "$tmp_golden"
 
 echo "==> RISC-V differential + hazard regression tests"
