@@ -77,7 +77,8 @@ pub struct AuditSnapshot {
     /// Instructions currently in flight (window occupancy).
     pub in_flight: u64,
 
-    /// Next sequence number expected at commit.
+    /// Next sequence number expected at commit (the in-flight window's
+    /// head).
     pub next_commit_seq: u64,
     /// Sequence number at the ROB head, if any.
     pub rob_head_seq: Option<u64>,
@@ -149,7 +150,7 @@ pub struct AuditReport {
     pub checks: u64,
     /// Total violations observed (may exceed `violations.len()`).
     pub violations_total: u64,
-    /// First [`MAX_STORED_VIOLATIONS`] violation records.
+    /// First `MAX_STORED_VIOLATIONS` violation records.
     pub violations: Vec<Violation>,
 }
 
@@ -191,20 +192,6 @@ impl Auditor {
         if level == AuditLevel::Full {
             invariants.push(Box::new(ReadyBitMonotonic));
         }
-        Auditor {
-            level,
-            invariants,
-            prev: None,
-            cycles: 0,
-            checks: 0,
-            violations_total: 0,
-            violations: Vec::new(),
-        }
-    }
-
-    /// Creates an auditor with a custom invariant set (used by unit tests).
-    pub fn with_invariants(level: AuditLevel, invariants: Vec<Box<dyn Invariant>>) -> Self {
-        assert!(level.enabled(), "AuditLevel::Off has no auditor");
         Auditor {
             level,
             invariants,

@@ -16,11 +16,12 @@
 //! campaign --worker
 //! ```
 //!
-//! `--procs N` runs the sweep on the multi-process sharded fleet: this
-//! process becomes the coordinator, spawning N copies of itself in
-//! `--worker` mode and sharding tuples across them with work stealing.
-//! A `kill -9`'d worker is detected, its jobs reassigned, and the CSV is
-//! byte-identical to the in-process run at any process count.
+//! `--procs N` runs the sweep on the multi-process fleet: this process
+//! becomes the coordinator, spawning N copies of itself in `--worker`
+//! mode and handing each idle one the next tuple in order. A `kill -9`'d
+//! worker is detected, its tuple goes back to the front of the queue,
+//! and the CSV is byte-identical to the in-process run at any process
+//! count.
 //! `--worker` is the protocol-speaking worker mode (spawned by the
 //! coordinator, not for interactive use).
 //!

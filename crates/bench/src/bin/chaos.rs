@@ -16,11 +16,11 @@
 //! configuration) and keeps its CSV as ground truth. Then, for each
 //! requested profile in escalating order, it:
 //!
-//! 1. installs a deterministic [`ChaosPlan`](tv_core::chaos::ChaosPlan)
-//!    and runs the same campaign from scratch — on the multi-process
-//!    cluster when the profile injects worker faults, in-process
-//!    otherwise — retrying with `--resume` semantics (bounded by
-//!    `--attempts`) whenever an injected fault kills the run;
+//! 1. installs a deterministic [`ChaosPlan`] and runs the same campaign
+//!    from scratch — on the multi-process cluster when the profile
+//!    injects worker faults, in-process otherwise — retrying with
+//!    `--resume` semantics (bounded by `--attempts`) whenever an
+//!    injected fault kills the run;
 //! 2. damages the finished journal at rest
 //!    ([`corrupt_file`](tv_core::chaos::corrupt_file): one seeded
 //!    bit-flip or truncation, on top of whatever torn/flipped appends

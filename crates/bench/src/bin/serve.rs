@@ -7,8 +7,8 @@
 //!       [--workers N]        fleet workers     (default: one per core)
 //!       [--http-workers N]   connections in service concurrently (default 8)
 //!       [--procs N]          run campaigns on N worker *processes* (the
-//!                            multi-process sharded fleet) instead of
-//!                            in-process threads
+//!                            multi-process fleet) instead of in-process
+//!                            threads
 //!       [--io-timeout SECS]  per-connection socket timeout (default 10;
 //!                            0 disables)
 //!       [--max-body BYTES]   request-body cap, 413 above it (default 1 MiB)

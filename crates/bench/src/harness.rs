@@ -138,7 +138,7 @@ impl Harness {
     }
 
     /// Runs one benchmark: calibrates an iteration count so a sample
-    /// lasts roughly [`TARGET_SAMPLE`], takes [`SAMPLES`] samples and
+    /// lasts roughly `TARGET_SAMPLE`, takes `SAMPLES` samples and
     /// reports the median per-iteration time.
     pub fn bench<T>(&self, name: &str, mut f: impl FnMut() -> T) {
         let full = format!("{}/{}", self.group, name);

@@ -1,5 +1,5 @@
-//! Process-level determinism contracts of the multi-process sharded
-//! fleet, driven through the real `campaign` binary:
+//! Process-level determinism contracts of the multi-process fleet,
+//! driven through the real `campaign` binary:
 //!
 //! 1. **Worker-count independence** — the campaign CSV is byte-identical
 //!    across `--procs {1, 2, 4}` and the in-process run.
@@ -76,7 +76,8 @@ fn csv_is_byte_identical_across_proc_counts_and_mid_run_worker_sigkills() {
     }
 
     // A real mid-run SIGKILL with spare capacity: worker 0 of 2 dies the
-    // moment its first job is in flight; worker 1 absorbs the orphans.
+    // moment its first job is in flight; the job goes back to the front
+    // of the queue for the next idle worker.
     let kill_dir = temp_dir("kill-spare");
     let output = run_campaign(&kill_dir, &["--procs", "2"], Some("0@0"));
     let stderr = String::from_utf8_lossy(&output.stderr);

@@ -869,7 +869,7 @@ pub fn prepare_journal(journal: &Path, meta: &str, resume: bool) -> Result<Journ
 pub enum Executor {
     /// Crash-isolated worker threads in this process.
     Threads(Fleet),
-    /// Worker processes of the multi-process sharded fleet.
+    /// Worker processes of the multi-process fleet.
     Procs(ClusterConfig),
 }
 
@@ -885,12 +885,11 @@ impl Executor {
     /// uninterrupted campaign.
     ///
     /// `on_row(cell_index, row)` fires once for every cell, on the calling
-    /// thread: first for the rows reused from the journal, in cell order,
-    /// then for each bundle's rows together, in tuple order, right after
-    /// they are journalled. `cell_index` is the cell's position in the
-    /// final tuple-major row order, so an observer holding a reorder
-    /// buffer can merge the reused rows with the executed ones and stream
-    /// them in output order. This is the campaign server's streaming hook.
+    /// thread, in the final tuple-major row order (`cell_index` = 0, 1,
+    /// 2, …): a row reused from the journal as soon as every cell before
+    /// it has fired, a bundle's rows right after they are journalled. The
+    /// rows in firing order are the CSV body, which is how the campaign
+    /// server streams them.
     ///
     /// # Errors
     ///
@@ -922,11 +921,8 @@ impl Executor {
         } = prepare_journal(journal, &config.meta_line(), resume)?;
         let mut rows: Vec<Option<String>> =
             keys.iter().map(|k| completed.get(k).cloned()).collect();
-        for (i, row) in rows.iter().enumerate() {
-            if let Some(row) = row {
-                on_row(i, row);
-            }
-        }
+        let mut fired = 0;
+        fire_ready(&rows, &mut fired, &mut on_row);
 
         // One group per tuple with pending cells: their global cell indices
         // (tuple-major, so cell `c` is scheme `c % n` of tuple `c / n`).
@@ -969,12 +965,12 @@ impl Executor {
                         );
                     }
                 }
-                // Rows are durable in the journal; now stream them.
                 for (&c, row) in cells.iter().zip(group_rows) {
                     panicked += usize::from(row_field(&row, 6) == "panic");
-                    on_row(c, &row);
                     rows[c] = Some(row);
                 }
+                // Rows are durable in the journal; now stream them.
+                fire_ready(&rows, &mut fired, &mut on_row);
             }
         };
 
@@ -1049,6 +1045,15 @@ impl Executor {
             panicked,
             fleet,
         })
+    }
+}
+
+/// Fires `on_row` for the rows from cell `*fired` up to the first cell
+/// that has none yet.
+fn fire_ready<F: FnMut(usize, &str)>(rows: &[Option<String>], fired: &mut usize, on_row: &mut F) {
+    while let Some(Some(row)) = rows.get(*fired) {
+        on_row(*fired, row);
+        *fired += 1;
     }
 }
 
@@ -1150,7 +1155,7 @@ where
     Executor::Threads(fleet.clone()).run_campaign(config, journal, resume, on_row)
 }
 
-/// [`run_campaign_observed`] on the multi-process sharded fleet: the
+/// [`run_campaign_observed`] on the multi-process fleet: the
 /// coordinator journals every row itself (workers are stateless), so the
 /// output is bit-identical to the thread run at any `procs`, across
 /// worker kills, and across resumes on either executor.
@@ -1377,28 +1382,31 @@ mod tests {
         })
         .expect("campaign runs");
         assert_eq!(seen.len(), report.rows.len(), "one observation per cell");
-        seen.sort_by_key(|(i, _)| *i);
         for (slot, (i, row)) in seen.iter().enumerate() {
-            assert_eq!(slot, *i, "indices cover 0..cells exactly once");
+            assert_eq!(slot, *i, "rows fire in final order, each once");
             assert_eq!(row, &report.rows[*i], "observer rows match the final CSV");
         }
 
-        // A resumed run streams the journal-reused rows too — the
-        // observer always sees the complete campaign.
+        // A resumed run streams the journal-reused rows too, each in its
+        // place: keeping only tuple 1's rows makes tuple 0's bundle run
+        // first and the reused rows wait for it.
         let text = fs::read_to_string(&journal).expect("journal exists");
         let lines: Vec<&str> = text.lines().collect();
+        let n = cfg.schemes().len();
         let partial = temp_journal("observe-partial");
-        let mut body = lines[..4].join("\n");
+        let mut body = [&lines[..1], &lines[1 + n..1 + 2 * n]].concat().join("\n");
         body.push('\n');
         fs::write(&partial, &body).expect("write partial journal");
-        let mut reused_seen = 0usize;
-        let resumed =
-            run_campaign_observed(&Fleet::new(2), &cfg, &partial, true, |_, _| {
-                reused_seen += 1;
-            })
-            .expect("resume runs");
-        assert_eq!(reused_seen, resumed.rows.len());
+        let mut resumed_seen = Vec::new();
+        let resumed = run_campaign_observed(&Fleet::new(2), &cfg, &partial, true, |i, row| {
+            resumed_seen.push((i, row.to_string()));
+        })
+        .expect("resume runs");
+        assert_eq!(resumed.reused, n, "tuple 1's rows came from the journal");
         assert_eq!(resumed.rows, report.rows);
+        let order: Vec<usize> = resumed_seen.iter().map(|(i, _)| *i).collect();
+        assert_eq!(order, (0..seen.len()).collect::<Vec<_>>(), "a resume fires in final order");
+        assert_eq!(resumed_seen, seen, "a resume streams the same rows");
 
         fs::remove_dir_all(journal.parent().unwrap()).ok();
         fs::remove_dir_all(partial.parent().unwrap()).ok();

@@ -1,13 +1,13 @@
-//! Multi-process sharded fleet: a coordinator/worker transport that
-//! extends the [`Fleet`](crate::fleet::Fleet) determinism contract from
-//! threads to processes. It knows nothing about the jobs it carries.
+//! Multi-process fleet: a coordinator/worker transport that extends the
+//! [`Fleet`](crate::fleet::Fleet) determinism contract from threads to
+//! processes. It knows nothing about the jobs it carries.
 //!
 //! # Shape
 //!
 //! The coordinator spawns N worker processes (the same binary in
-//! `--worker` mode, or any command speaking the protocol), shards the
-//! job space deterministically across them (`plan_shards`), and drives
-//! a line-framed protocol over each worker's stdin/stdout:
+//! `--worker` mode, or any command speaking the protocol), hands them
+//! jobs in submission order, and drives a line-framed protocol over each
+//! worker's stdin/stdout:
 //!
 //! ```text
 //! coordinator -> worker   CTX <one-line context>          (once, first)
@@ -25,27 +25,26 @@
 //! written and read in the campaign module, which also holds the worker
 //! body the harness binaries run in `--worker` mode.
 //!
-//! # Scheduling: shards, stealing, leases
+//! # Scheduling: one queue, leases
 //!
-//! Jobs are pre-sharded round-robin; each worker holds one in-flight job
-//! (the *lease*) plus its queue. An idle worker first drains the orphan
-//! pool (work reclaimed from dead workers), then its own queue, then
-//! steals from the **back** of the longest live queue — stragglers lose
-//! their tail, never their head. Results are handed to the caller keyed
-//! by job id, so stealing never changes what the caller assembles.
+//! The coordinator keeps one queue of pending job ids in submission
+//! order; each worker holds at most one in-flight job (the *lease*), and
+//! an idle live worker takes the front of the queue. Results are handed
+//! to the caller keyed by job id, so which worker ran which job never
+//! changes what the caller assembles.
 //!
 //! # Death, reassignment, determinism
 //!
 //! A worker's death — `kill -9`, OOM, a torn frame, a garbage frame —
 //! surfaces on its stdout (EOF, a partial line, or an unparseable
-//! frame). The coordinator revokes the lease: the in-flight job and the
-//! dead worker's queue move to the orphan pool and idle workers pick
-//! them up. Each job's rows reach the caller exactly once, in completion
-//! order; the campaign executor journals them as they arrive, so a kill
-//! of the coordinator itself resumes exactly like a killed
-//! single-process campaign. Rows are pure functions of their job and the
-//! caller places them by job id, so its output is identical at any
-//! worker count, under any interleaving, steal pattern or mid-run kill.
+//! frame). The coordinator revokes the lease: the in-flight job goes
+//! back to the front of the queue and the next idle worker takes it.
+//! Each job's rows reach the caller exactly once, in completion order;
+//! the campaign executor journals them in job order, so a kill of the
+//! coordinator itself resumes exactly like a killed single-process
+//! campaign. Rows are pure functions of their job and the caller places
+//! them by job id, so its output is identical at any worker count, under
+//! any interleaving or mid-run kill.
 //! An explicit `ERR` frame stays **fatal**: it reports a deterministic
 //! worker-side failure that would fail identically on any replacement,
 //! so retry-looping it would loop forever.
@@ -151,19 +150,6 @@ impl ClusterConfig {
     }
 }
 
-/// Deterministic round-robin shard plan: job `j` lands in shard
-/// `j % shards`. Pure, so the initial assignment is identical on every
-/// run — only stealing (which cannot change output bytes) reacts to
-/// timing.
-pub(crate) fn plan_shards(jobs: usize, shards: usize) -> Vec<Vec<usize>> {
-    let shards = shards.clamp(1, jobs.max(1));
-    let mut plan: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    for j in 0..jobs {
-        plan[j % shards].push(j);
-    }
-    plan
-}
-
 /// Counters from one coordinator run.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterStats {
@@ -173,9 +159,8 @@ pub struct ClusterStats {
     pub deaths: usize,
     /// Replacement processes spawned.
     pub respawns: usize,
-    /// Jobs stolen from another worker's queue.
-    pub stolen: usize,
-    /// Jobs reassigned out of dead workers (leases revoked + queues).
+    /// Leases revoked from dead workers: jobs put back at the front of
+    /// the queue.
     pub reassigned: usize,
     /// Slots permanently quarantined after repeated consecutive failures.
     pub quarantined: usize,
@@ -187,15 +172,14 @@ pub struct ClusterStats {
 }
 
 impl ClusterStats {
-    /// The `[cluster]` stderr line of a run that lost a worker, stole a
-    /// job or quarantined a slot; `None` for a run that did none of these.
+    /// The `[cluster]` stderr line of a run that lost a worker (a
+    /// quarantined slot lost one first); `None` for a run that lost none.
     pub(crate) fn event_line(&self) -> Option<String> {
-        let eventful = self.deaths > 0 || self.stolen > 0 || self.quarantined > 0;
-        eventful.then(|| {
+        (self.deaths > 0).then(|| {
             format!(
                 "[cluster] {} worker death(s): {} jobs reassigned, {} respawns, \
-                 {} slot(s) quarantined; {} jobs stolen",
-                self.deaths, self.reassigned, self.respawns, self.quarantined, self.stolen,
+                 {} slot(s) quarantined",
+                self.deaths, self.reassigned, self.respawns, self.quarantined,
             )
         })
     }
@@ -206,7 +190,6 @@ impl ClusterStats {
 struct Slot {
     child: Option<Child>,
     stdin: Option<ChildStdin>,
-    queue: VecDeque<usize>,
     /// The lease: the dispatched job and when it left.
     inflight: Option<(usize, Instant)>,
     alive: bool,
@@ -226,7 +209,6 @@ impl Slot {
         Slot {
             child: None,
             stdin: None,
-            queue: VecDeque::new(),
             inflight: None,
             alive: false,
             generation: 0,
@@ -269,7 +251,9 @@ struct Coordinator<'a> {
     tx: Sender<Event>,
     rx: Receiver<Event>,
     slots: Vec<Slot>,
-    orphans: VecDeque<usize>,
+    /// Job ids not yet leased, in submission order; a revoked lease goes
+    /// back to the front.
+    pending: VecDeque<usize>,
     completed: Vec<bool>,
     done: usize,
     respawns_left: usize,
@@ -321,30 +305,13 @@ impl Coordinator<'_> {
         Ok(())
     }
 
-    /// Picks the next job for an idle worker: orphans (reclaimed work)
-    /// first, then its own shard, then a steal from the back of the
-    /// longest live queue.
-    fn next_job(&mut self, w: usize) -> Option<usize> {
-        if let Some(id) = self.orphans.pop_front() {
-            return Some(id);
-        }
-        if let Some(id) = self.slots[w].queue.pop_front() {
-            return Some(id);
-        }
-        let victim = (0..self.slots.len())
-            .filter(|&v| v != w && self.slots[v].alive && !self.slots[v].queue.is_empty())
-            .max_by_key(|&v| self.slots[v].queue.len())?;
-        let id = self.slots[victim].queue.pop_back()?;
-        self.stats.stolen += 1;
-        Some(id)
-    }
-
-    /// Dispatches one job to an idle live worker, if any work remains.
+    /// Dispatches the front of the queue to worker `w`, if it is idle
+    /// and alive and any work remains.
     fn dispatch(&mut self, w: usize) {
         if !self.slots[w].alive || self.slots[w].inflight.is_some() {
             return;
         }
-        let Some(id) = self.next_job(w) else { return };
+        let Some(id) = self.pending.pop_front() else { return };
         let line = format!("JOB {id} {}\n", self.specs[id]);
         let slot = &mut self.slots[w];
         let sent = slot
@@ -356,14 +323,15 @@ impl Coordinator<'_> {
             slot.inflight = Some((id, Instant::now()));
         } else {
             // EPIPE: the worker is dead; its reader thread will deliver
-            // the Dead event. The job goes back to the pool untouched.
-            self.orphans.push_front(id);
+            // the Dead event. The job goes back to the front untouched.
+            self.pending.push_front(id);
         }
     }
 
-    /// Revokes a dead worker's lease and queue, redistributes the work,
-    /// and either quarantines the slot (too many consecutive failures)
-    /// or schedules a backed-off respawn while the budget lasts.
+    /// Revokes a dead worker's lease, puts its job back at the front of
+    /// the queue for an idle worker, and either quarantines the slot (too
+    /// many consecutive failures) or schedules a backed-off respawn while
+    /// the budget lasts.
     fn handle_death(&mut self, w: usize, generation: u64, garbage: Option<String>) {
         if !self.slots[w].alive || self.slots[w].generation != generation {
             return; // already reaped, or an event from a replaced process
@@ -380,22 +348,15 @@ impl Coordinator<'_> {
         self.stats.deaths += 1;
         let mut reclaimed = 0usize;
         if let Some((id, _)) = slot.inflight.take() {
-            self.orphans.push_front(id);
-            reclaimed += 1;
-        }
-        while let Some(id) = slot.queue.pop_front() {
-            self.orphans.push_back(id);
+            self.pending.push_front(id);
             reclaimed += 1;
         }
         self.stats.reassigned += reclaimed;
         if self.done >= self.specs.len() {
             return; // late death after all jobs finished
         }
-        // Idle live workers absorb the orphans immediately.
+        // An idle live worker takes the revoked job immediately.
         for v in 0..self.slots.len() {
-            if self.orphans.is_empty() {
-                break;
-            }
             self.dispatch(v);
         }
         let live = self.slots.iter().filter(|s| s.alive).count();
@@ -582,7 +543,7 @@ where
         tx,
         rx,
         slots: Vec::with_capacity(workers),
-        orphans: VecDeque::new(),
+        pending: (0..total).collect(),
         completed: vec![false; total],
         done: 0,
         respawns_left: cluster.respawn_budget,
@@ -594,9 +555,8 @@ where
     };
 
     let result = (|| -> Result<(), String> {
-        for (w, queue) in plan_shards(total, workers).into_iter().enumerate() {
+        for w in 0..workers {
             coord.slots.push(Slot::vacant());
-            coord.slots[w].queue = queue.into();
             coord.spawn_into(w, true)?;
         }
         for w in 0..workers {
@@ -804,23 +764,6 @@ where
 mod tests {
     use super::*;
 
-    #[test]
-    fn shard_plan_is_round_robin_and_total() {
-        let plan = plan_shards(10, 3);
-        assert_eq!(plan.len(), 3);
-        assert_eq!(plan[0], vec![0, 3, 6, 9]);
-        assert_eq!(plan[1], vec![1, 4, 7]);
-        assert_eq!(plan[2], vec![2, 5, 8]);
-        let mut all: Vec<usize> = plan.into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..10).collect::<Vec<_>>());
-        // Never more shards than jobs, never fewer than one.
-        assert_eq!(plan_shards(2, 8).len(), 2);
-        assert_eq!(plan_shards(0, 4).len(), 1);
-        assert_eq!(plan_shards(5, 0).len(), 1);
-        assert_eq!(plan_shards(5, 1), vec![(0..5).collect::<Vec<_>>()]);
-    }
-
     /// A scripted POSIX-shell worker: obeys the protocol, echoes one row
     /// per job. Exercises the real spawn/pipe/reader machinery without
     /// simulating anything.
@@ -867,8 +810,8 @@ mod tests {
     }
 
     /// A worker that dies (clean exit) after one job: every death path —
-    /// lease revocation, queue reassignment, respawn — gets exercised,
-    /// and all jobs still complete with the right rows.
+    /// lease revocation, requeueing, respawn — gets exercised, and all
+    /// jobs still complete with the right rows.
     #[cfg(unix)]
     #[test]
     fn run_groups_reassigns_work_from_dying_workers() {
@@ -1006,20 +949,61 @@ mod tests {
         assert!(err.contains("deterministic failure"), "{err}");
     }
 
+    /// Idle workers take the front of one submission-order queue: while
+    /// slot 1 holds job 1, slot 0 runs every later job in order, and
+    /// nothing is pre-assigned to the busy slot.
+    #[cfg(unix)]
     #[test]
-    fn event_line_reports_deaths_steals_and_quarantines() {
+    fn idle_workers_take_jobs_in_submission_order() {
+        let marker = std::env::temp_dir().join(format!("tv-cluster-order-{}", std::process::id()));
+        let _ = std::fs::remove_file(&marker);
+        let specs: Vec<String> = (0..6).map(|i| format!("s{i}")).collect();
+        let mut cluster = ClusterConfig::new(2);
+        cluster.worker_cmd = vec![
+            "sh".to_string(),
+            "-c".to_string(),
+            // Slot 1 holds job 1 until the marker appears.
+            format!(
+                "read ctx; while read cmd id spec; do \
+                 if [ \"$TV_CLUSTER_SLOT\" = 1 ] && [ \"$id\" = 1 ]; then \
+                 while [ ! -e {m} ]; do sleep 0.01; done; fi; \
+                 echo \"OK $id 1\"; echo \"row-$id\"; done",
+                m = marker.display()
+            ),
+        ];
+        let mut order = Vec::new();
+        let stats = run_groups(&cluster, "test", &specs, |id, rows| {
+            assert_eq!(rows, [format!("row-{id}")]);
+            order.push(id);
+            if order.len() == 5 {
+                std::fs::write(&marker, b"").expect("create marker");
+            }
+            Ok(())
+        })
+        .expect("cluster run");
+        let _ = std::fs::remove_file(&marker);
+        assert_eq!(order, [0, 2, 3, 4, 5, 1]);
+        assert_eq!(stats.deaths, 0);
+    }
+
+    #[test]
+    fn event_line_reports_deaths_and_quarantines() {
         let quiet = ClusterStats {
             workers: 2,
             ..ClusterStats::default()
         };
         assert_eq!(quiet.event_line(), None, "an uneventful run prints nothing");
-        let stolen = ClusterStats {
-            stolen: 3,
+        let died = ClusterStats {
+            deaths: 1,
+            reassigned: 1,
+            respawns: 1,
             ..quiet.clone()
         };
         assert_eq!(
-            stolen.event_line().as_deref(),
-            Some("[cluster] 0 worker death(s): 0 jobs reassigned, 0 respawns, 0 slot(s) quarantined; 3 jobs stolen"),
+            died.event_line().as_deref(),
+            Some(
+                "[cluster] 1 worker death(s): 1 jobs reassigned, 1 respawns, 0 slot(s) quarantined"
+            ),
         );
         let quarantined = ClusterStats {
             deaths: 2,
@@ -1030,7 +1014,9 @@ mod tests {
         };
         assert_eq!(
             quarantined.event_line().as_deref(),
-            Some("[cluster] 2 worker death(s): 1 jobs reassigned, 1 respawns, 1 slot(s) quarantined; 0 jobs stolen"),
+            Some(
+                "[cluster] 2 worker death(s): 1 jobs reassigned, 1 respawns, 1 slot(s) quarantined"
+            ),
         );
     }
 

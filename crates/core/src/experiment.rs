@@ -11,7 +11,7 @@ use tv_timing::Voltage;
 use tv_uarch::{SimStats, StreamMemo};
 use tv_workloads::Benchmark;
 
-use crate::fleet::{Fleet, FleetStats, Job};
+use crate::fleet::{Fleet, FleetStats};
 use crate::schemes::Scheme;
 
 /// Measurement parameters shared by every run of an experiment.
@@ -109,7 +109,7 @@ impl Experiment {
     }
 
     /// Runs a single scheme, its pipeline built through `memo`.
-    pub(crate) fn run_scheme_in(&self, scheme: Scheme, memo: &StreamMemo) -> SchemeResult {
+    fn run_scheme_in(&self, scheme: Scheme, memo: &StreamMemo) -> SchemeResult {
         let mut builder = scheme
             .pipeline_builder(self.bench, self.config.seed, self.vdd)
             .criticality_threshold(self.config.criticality_threshold);
@@ -182,18 +182,10 @@ impl Experiment {
     }
 
     /// Runs a subset of schemes on the given engine (the fault-free
-    /// baseline is always added).
+    /// baseline is always added): [`run_evaluations`] on this one spec.
     pub fn run_schemes_on(&self, fleet: &Fleet, schemes: &[Scheme]) -> Evaluation {
-        let jobs: Vec<Job> = with_baseline(schemes)
-            .into_iter()
-            .map(|s| Job::new(self.bench, self.vdd, s, self.config))
-            .collect();
-        let run = fleet.run_jobs(jobs);
-        Evaluation {
-            bench: self.bench,
-            vdd: self.vdd,
-            results: run.results,
-        }
+        let (mut evals, _) = run_evaluations(fleet, &[(self.clone(), schemes.to_vec())]);
+        evals.pop().expect("one spec, one evaluation")
     }
 }
 
@@ -212,21 +204,38 @@ fn with_baseline(schemes: &[Scheme]) -> Vec<Scheme> {
 /// spec's evaluation comes back in spec order (its scheme results in
 /// scheme order, baseline first when added), along with the engine's
 /// timing counters for the whole bag.
+///
+/// The bag owns one [`StreamMemo`], dropped on return: each distinct
+/// (benchmark, seed, fast-forward) generates its program and walks its
+/// calibration probe once, inside the wall time of the first job that
+/// needs it, and every result is bit-identical to a standalone
+/// [`Experiment::run_scheme`]. The stats' `starts` and `walks` count
+/// that work.
 pub fn run_evaluations(
     fleet: &Fleet,
     specs: &[(Experiment, Vec<Scheme>)],
 ) -> (Vec<Evaluation>, FleetStats) {
-    let mut jobs = Vec::new();
+    let mut jobs: Vec<(&Experiment, Scheme)> = Vec::new();
     let mut counts = Vec::with_capacity(specs.len());
     for (exp, schemes) in specs {
         let list = with_baseline(schemes);
         counts.push(list.len());
-        jobs.extend(
-            list.into_iter()
-                .map(|s| Job::new(exp.bench, exp.vdd, s, exp.config)),
-        );
+        jobs.extend(list.into_iter().map(|s| (exp, s)));
     }
-    let run = fleet.run_jobs(jobs);
+    let labels = jobs
+        .iter()
+        .map(|&(exp, s)| format!("{}/{}@{:.3}V", exp.bench.name(), s.name(), exp.vdd.volts()))
+        .collect();
+    let memo = StreamMemo::new();
+    let run = fleet.map_observed(
+        jobs,
+        labels,
+        |&(exp, s)| exp.run_scheme_in(s, &memo),
+        |_, _| {},
+    );
+    let mut stats = run.stats;
+    stats.starts = memo.starts();
+    stats.walks = memo.walks();
     let mut results = run.results.into_iter();
     let evals = specs
         .iter()
@@ -237,7 +246,7 @@ pub fn run_evaluations(
             results: results.by_ref().take(count).collect(),
         })
         .collect();
-    (evals, run.stats)
+    (evals, stats)
 }
 
 /// Results of one benchmark × voltage across schemes.

@@ -4,18 +4,18 @@
 //! simulation jobs — one `(benchmark, voltage, scheme, config)` tuple
 //! each. The [`Fleet`] fans such bags across `std::thread::scope` workers
 //! and returns the results **in submission order**, so harnesses and
-//! tests see output identical to a serial loop.
+//! tests see output identical to a serial loop. It knows nothing about
+//! the jobs it runs: [`run_evaluations`](crate::experiment::run_evaluations)
+//! and the campaign executor hand it items and a function.
 //!
 //! # Determinism contract
 //!
-//! Every job is a pure function of its tuple: the pipeline, workload
+//! Every job is a pure function of its item: the pipeline, workload
 //! trace, fault model and TEP are all (re)constructed inside the job from
-//! `config.seed`, and no RNG state is shared between jobs. The one thing
-//! the jobs of a [`Fleet::run_jobs`] bag share is its write-once
-//! [`StreamMemo`]: the first job of a (benchmark, seed, fast-forward)
-//! generates the stream's program and walks its calibration probe, and
-//! the others reuse both. Each entry is a pure function of its key, so a
-//! job gets the same inputs whichever job computed them. Results are
+//! its seed, and no RNG state is shared between jobs. Anything the jobs
+//! of a bag do share (the write-once `uarch::StreamMemo` of a
+//! `run_evaluations` bag) must be a pure function of its key, so a job
+//! gets the same inputs whichever job computed them. Results are
 //! written into per-job slots indexed by submission order. Consequently a
 //! fleet run is **bit-identical** to a serial run — and to any other
 //! fleet run — regardless of worker count, scheduling interleavings or
@@ -25,82 +25,21 @@
 //! # Worker count
 //!
 //! [`Fleet::auto`] honours the `TV_WORKERS` environment variable and
-//! falls back to [`std::thread::available_parallelism`]. Worker threads
-//! pull jobs off a shared atomic cursor (work stealing by competition),
-//! so long jobs do not convoy short ones.
+//! falls back to [`std::thread::available_parallelism`]. Idle worker
+//! threads take the next item in submission order off a shared atomic
+//! cursor, so long jobs do not convoy short ones.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::channel;
 use std::time::{Duration, Instant};
-
-use tv_timing::Voltage;
-use tv_uarch::StreamMemo;
-use tv_workloads::Benchmark;
-
-use crate::experiment::{Experiment, RunConfig, SchemeResult};
-use crate::schemes::Scheme;
-
-/// One unit of simulation work: a single scheme run of one benchmark at
-/// one supply voltage.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Job {
-    /// Benchmark under test.
-    pub bench: Benchmark,
-    /// Faulty-environment supply voltage.
-    pub vdd: Voltage,
-    /// Tolerance scheme to run.
-    pub scheme: Scheme,
-    /// Measurement parameters (carries the seed).
-    pub config: RunConfig,
-}
-
-impl Job {
-    /// Creates a job.
-    pub fn new(bench: Benchmark, vdd: Voltage, scheme: Scheme, config: RunConfig) -> Self {
-        Job {
-            bench,
-            vdd,
-            scheme,
-            config,
-        }
-    }
-
-    /// The seed all of this job's random streams derive from. Seeding is
-    /// per job and deterministic: two jobs with equal tuples produce
-    /// bit-identical results on any worker.
-    pub fn seed(&self) -> u64 {
-        self.config.seed
-    }
-
-    /// Human-readable label for progress lines (`gcc/ABS@0.970V`).
-    pub fn label(&self) -> String {
-        format!(
-            "{}/{}@{:.3}V",
-            self.bench.name(),
-            self.scheme.name(),
-            self.vdd.volts()
-        )
-    }
-
-    /// Runs the job to completion on the calling thread.
-    pub fn run(&self) -> SchemeResult {
-        Experiment::new(self.bench, self.vdd, self.config).run_scheme(self.scheme)
-    }
-
-    /// Runs the job with its stream and calibration counts from a bag's
-    /// shared `memo`; bit-identical to [`run`](Job::run).
-    fn run_in(&self, memo: &StreamMemo) -> SchemeResult {
-        Experiment::new(self.bench, self.vdd, self.config).run_scheme_in(self.scheme, memo)
-    }
-}
 
 /// Wall-clock timing of one completed job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobTiming {
     /// Submission index of the job.
     pub index: usize,
-    /// The job's [`label`](Job::label) (empty for generic [`Fleet::map`]
-    /// items).
+    /// The item's progress label (`gcc/ABS@0.970V` for an evaluation
+    /// job; empty for [`Fleet::map`] items).
     pub label: String,
     /// Wall-clock time the job spent executing.
     pub wall: Duration,
@@ -121,9 +60,10 @@ pub struct FleetStats {
     pub serial_equivalent: Duration,
     /// Per-job timings, in submission order.
     pub timings: Vec<JobTiming>,
-    /// Streams a [`Fleet::run_jobs`] bag's memo started: one program
-    /// generation per distinct (benchmark, seed, fast-forward). Zero for
-    /// other runs, which keep no memo.
+    /// Streams a [`run_evaluations`](crate::experiment::run_evaluations)
+    /// bag's memo started: one program generation per distinct
+    /// (benchmark, seed, fast-forward). Zero for other runs, which keep
+    /// no memo.
     pub starts: u64,
     /// Calibration probe walks the bag's memo ran: one per distinct
     /// stream with a faulty job. Zero for runs that keep no memo.
@@ -147,8 +87,8 @@ impl FleetStats {
         self.timings.iter().max_by_key(|t| t.wall)
     }
 
-    /// One-line human summary for harness output; a job bag adds its
-    /// memo counts.
+    /// One-line human summary for harness output; an evaluation bag adds
+    /// its memo counts.
     pub fn summary(&self) -> String {
         let mut line = format!(
             "{} jobs on {} worker{} in {:.2}s (serial-equivalent {:.2}s, speedup {:.2}x)",
@@ -218,21 +158,6 @@ impl Fleet {
     /// Worker threads this fleet uses.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Runs experiment jobs and returns their results in submission
-    /// order, bit-identical to a serial loop over [`Job::run`]. The bag
-    /// owns one [`StreamMemo`], dropped on return: each distinct
-    /// (benchmark, seed, fast-forward) generates its program and walks its
-    /// calibration probe once, inside the wall time of the first job that
-    /// needs it.
-    pub fn run_jobs(&self, jobs: Vec<Job>) -> FleetRun<SchemeResult> {
-        let labels: Vec<String> = jobs.iter().map(Job::label).collect();
-        let memo = StreamMemo::new();
-        let mut run = self.map_observed(jobs, labels, |job| job.run_in(&memo), |_, _| {});
-        run.stats.starts = memo.starts();
-        run.stats.walks = memo.walks();
-        run
     }
 
     /// Generic deterministic parallel map: applies `f` to every item and
@@ -447,18 +372,5 @@ mod tests {
         assert!(run.stats.timings.iter().all(|t| t.label == format!("item-{}", t.index)));
         seen.sort_unstable();
         assert_eq!(seen, expect, "one observation per item, values intact");
-    }
-
-    #[test]
-    fn job_label_and_seed() {
-        let job = Job::new(
-            Benchmark::Gcc,
-            Voltage::low_fault(),
-            Scheme::Abs,
-            RunConfig::quick(),
-        );
-        assert_eq!(job.seed(), 42);
-        let label = job.label();
-        assert!(label.starts_with("gcc/ABS@"), "{label}");
     }
 }

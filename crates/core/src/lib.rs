@@ -16,22 +16,23 @@
 //!   scheme on the *identical* dynamic instruction stream and produces the
 //!   `(performance %, ED %)` overhead tuples of Table 1 and the
 //!   EP-normalized relative overheads of Figures 4/5/8/9;
-//! * [`fleet`] — the parallel experiment engine: fans independent
-//!   `(benchmark, voltage, scheme, config)` jobs across scoped worker
-//!   threads with bit-identical results regardless of worker count
-//!   (deterministic per-job seeding, submission-order results);
+//! * [`fleet`] — the parallel experiment engine: a job-agnostic map
+//!   that hands items to scoped worker threads in submission order and
+//!   returns results in submission order, bit-identical regardless of
+//!   worker count; [`run_evaluations`] runs the figure and table grids'
+//!   `(benchmark, voltage, scheme, config)` jobs on it;
 //! * [`campaign`] — adversarial fault-injection campaigns: randomized
 //!   stress tuples (fault bursts, correlated multi-stage faults, sensor
 //!   flapping, forced predictor false-positives/negatives) run under the
 //!   golden-model oracle as one co-sim bundle per tuple on an
 //!   [`Executor`] (threads or processes), with a per-row resume journal
 //!   that makes interrupted campaigns bit-identical on resume;
-//! * [`cluster`] — the multi-process sharded fleet behind the campaign
+//! * [`cluster`] — the multi-process fleet behind the campaign
 //!   [`Executor`]: a job-agnostic coordinator that spawns worker
-//!   processes over a line-framed stdin/stdout protocol, shards jobs
-//!   deterministically, steals straggler shards and reassigns work from
-//!   `kill -9`'d workers, so campaign CSVs are byte-identical at any
-//!   process count;
+//!   processes over a line-framed stdin/stdout protocol, hands each idle
+//!   worker the next job in submission order and puts the work of
+//!   `kill -9`'d workers back at the front, so campaign CSVs are
+//!   byte-identical at any process count;
 //! * [`chaos`] — deterministic, seed-driven fault injection against the
 //!   platform's own persistence and process fabric (journal corruption,
 //!   persist errors, worker kills, connection faults), behind
@@ -84,7 +85,7 @@ pub use persist::{fnv1a, write_atomic, write_atomic_str};
 pub use cosim::build_cosim;
 pub use diff::{run_differential, DiffConfig, DiffReport, DiffRun, DiffTuple};
 pub use experiment::{run_evaluations, Evaluation, Experiment, RunConfig, SchemeResult};
-pub use fleet::{Fleet, FleetRun, FleetStats, Job, JobTiming};
+pub use fleet::{Fleet, FleetRun, FleetStats, JobTiming};
 pub use report::{average_row, FigureRow, Table1Row};
 pub use schemes::Scheme;
 pub use select::{CriticalityDrivenSelect, FaultyFirstSelect};

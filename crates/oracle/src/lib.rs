@@ -140,8 +140,8 @@ pub enum CommitEffect {
 ///
 /// The pipeline's value plane and the golden model share one `Semantics`
 /// instance, so they agree exactly on clean executions — the plane merely
-/// adds the fault model's corruption mask on top. [`Synthetic`]
-/// (`Semantics::Synthetic`) is the paper-study hash semantics
+/// adds the fault model's corruption mask on top.
+/// [`Synthetic`](Semantics::Synthetic) is the paper-study hash semantics
 /// ([`value_of`]); [`Riscv`](Semantics::Riscv) executes the real RV32I+M
 /// instruction at the committed PC.
 #[derive(Debug, Clone, Default)]
@@ -337,7 +337,7 @@ pub struct OracleReport {
     pub value_mismatches: u64,
     /// Architectural registers whose final value disagreed.
     pub regfile_mismatches: u64,
-    /// Up to [`MAX_SAMPLES`] earliest value mismatches, for diagnostics.
+    /// Up to `MAX_SAMPLES` earliest value mismatches, for diagnostics.
     pub first_mismatches: Vec<ValueMismatch>,
 }
 

@@ -26,11 +26,12 @@
 //! verbatim and the final CSV is bit-identical to an uninterrupted run
 //! (the campaign module's resume contract).
 //!
-//! A tuple's rows arrive together when its bundle finishes, tuples in
-//! order, after any rows reused from a resumed journal; a reorder buffer
-//! inside the observer merges the two so the streamed body is exactly
-//! [`CampaignReport::csv`] — which is also what lands in the store,
-//! keeping hit, coalesced and miss responses byte-identical.
+//! The executor hands rows over in CSV order, a row reused from a
+//! resumed journal as soon as every row before it has gone and a tuple's
+//! rows together when its bundle is journalled; each becomes one chunk,
+//! so the streamed body is exactly [`CampaignReport::csv`] — which is
+//! also what lands in the store, keeping hit, coalesced and miss
+//! responses byte-identical.
 //!
 //! [`CampaignReport::csv`]: tv_core::CampaignReport::csv
 //! [`Executor`]: tv_core::Executor
@@ -70,7 +71,7 @@ pub struct ServeConfig {
     pub http_workers: usize,
     /// Campaign worker *processes*; `0` keeps execution on the in-process
     /// thread fleet, `N > 0` runs each campaign on the multi-process
-    /// sharded fleet instead (same CSV bytes either way).
+    /// fleet instead (same CSV bytes either way).
     pub procs: usize,
     /// Cluster worker command (empty = this executable with `--worker`);
     /// only meaningful with `procs > 0`. Lets tests and embedders point
@@ -492,31 +493,13 @@ fn handle_result(state: &State, key: &str, stream: TcpStream) {
     }
 }
 
-/// The reorder buffer behind the streaming observer: rows arrive keyed
-/// by final cell index, reused rows first, then a tuple's together as its
-/// bundle is journalled; they leave in cell order, so the concatenated
-/// chunks equal the final CSV.
-struct RowStream {
-    writer: Option<ChunkedWriter>,
-    next: usize,
-    pending: HashMap<usize, String>,
-}
-
-impl RowStream {
-    fn push(&mut self, index: usize, row: &str) {
-        self.pending.insert(index, row.to_string());
-        while let Some(row) = self.pending.remove(&self.next) {
-            self.next += 1;
-            if let Some(w) = self.writer.as_mut() {
-                let mut line = row;
-                line.push('\n');
-                if w.chunk(line.as_bytes()).is_err() {
-                    // Client went away: stop writing, keep executing —
-                    // the store and any coalesced waiters still want
-                    // the result.
-                    self.writer = None;
-                }
-            }
+/// Writes one chunk of a streamed response. A failed write means the
+/// client went away: the writer is dropped and the campaign keeps
+/// executing — the store and any coalesced waiters still want the result.
+fn write_chunk(writer: &mut Option<ChunkedWriter>, bytes: &[u8]) {
+    if let Some(w) = writer.as_mut() {
+        if w.chunk(bytes).is_err() {
+            *writer = None;
         }
     }
 }
@@ -597,28 +580,19 @@ fn lead_campaign(state: &State, config: &CampaignConfig, key: &str, stream: TcpS
     // Start the chunked response before executing; if the client is
     // already gone, execute anyway — waiters and the store still want
     // the result.
-    let writer = ChunkedWriter::start(
+    let mut writer = ChunkedWriter::start(
         stream,
         200,
         &[("X-Cache", "miss"), ("X-Store-Key", key)],
         "text/csv",
     )
     .ok();
-    let mut rows = RowStream {
-        writer,
-        next: 0,
-        pending: HashMap::new(),
-    };
-    if let Some(w) = rows.writer.as_mut() {
-        if w.chunk(format!("{HEADER}\n").as_bytes()).is_err() {
-            rows.writer = None;
-        }
-    }
+    write_chunk(&mut writer, format!("{HEADER}\n").as_bytes());
 
     let journal = state.store.journal_path(key);
-    let report = state
-        .executor
-        .run_campaign(config, &journal, true, |i, row| rows.push(i, row));
+    let report = state.executor.run_campaign(config, &journal, true, |_, row| {
+        write_chunk(&mut writer, format!("{row}\n").as_bytes());
+    });
 
     match report {
         Ok(report) => {
@@ -628,7 +602,7 @@ fn lead_campaign(state: &State, config: &CampaignConfig, key: &str, stream: TcpS
                 eprintln!("tv-serve: publish {key} failed: {e}");
                 Stats::bump(&state.stats.errors);
             }
-            if let Some(w) = rows.writer {
+            if let Some(w) = writer {
                 w.finish().ok();
             }
         }

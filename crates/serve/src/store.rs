@@ -6,7 +6,8 @@
 //! keeps at most three files per key:
 //!
 //! * `<key>.csv` — the finished verdict CSV, published atomically
-//!   ([`write_atomic`]) so readers never observe a torn result;
+//!   ([`write_atomic`](tv_core::write_atomic)) so readers never observe
+//!   a torn result;
 //! * `<key>.sum` — the CSV's checksum sidecar (`crc32 fnv1a` of the CSV
 //!   bytes), written with the CSV at publication;
 //! * `<key>.journal` — the in-progress resume journal. It exists only

@@ -13,6 +13,8 @@
 //! A per-PC chooser picks bimodal vs gshare; a second per-PC chooser picks
 //! that winner vs the local component.
 
+use tv_workloads::{OpClass, TraceInst};
+
 /// Tournament direction predictor with a branch target buffer.
 #[derive(Debug, Clone)]
 pub struct BranchPredictor {
@@ -123,6 +125,25 @@ impl BranchPredictor {
             taken: true,
             target,
         }
+    }
+
+    /// Predicts `inst` if it is a conditional branch or a jump, then
+    /// trains with its resolved outcome from the trace. Returns whether
+    /// the prediction missed; `None` for any other op, which leaves the
+    /// predictor untouched.
+    pub(crate) fn resolve(&mut self, inst: &TraceInst) -> Option<bool> {
+        let (taken, mispred) = match inst.op {
+            OpClass::CondBranch => {
+                let taken = inst.taken.expect("branches carry outcomes");
+                let pred = self.predict_cond(inst.pc);
+                let missed = pred.taken != taken || (taken && pred.target != inst.target);
+                (taken, missed)
+            }
+            OpClass::Jump => (true, self.predict_jump(inst.pc).target != inst.target),
+            _ => return None,
+        };
+        self.update(inst.pc, taken, inst.target);
+        Some(mispred)
     }
 
     /// Trains with the resolved outcome and updates the histories.

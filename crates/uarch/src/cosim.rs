@@ -69,7 +69,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use tv_timing::{FaultModel, PipeStage, Voltage};
-use tv_workloads::{OpClass, TraceInst, WorkloadSource};
+use tv_workloads::{TraceInst, WorkloadSource};
 
 use crate::branch::BranchPredictor;
 use crate::config::RecoveryModel;
@@ -91,8 +91,9 @@ pub(crate) struct FedInst {
     pub trace: TraceInst,
     /// Sampled timing-violation stage, already `None` for fault-free lanes.
     pub fault: Option<PipeStage>,
-    /// Branch-predictor verdict for branches/jumps; `None` means the lane
-    /// resolves it against its own predictor (solo mode).
+    /// Branch-predictor verdict from the shared frontend (co-sim) for
+    /// branches/jumps; `None` means the lane resolves the instruction
+    /// against its own predictor (solo mode, and a no-op for other ops).
     pub mispred: Option<bool>,
 }
 
@@ -126,7 +127,8 @@ impl Feed {
 struct SharedEntry {
     trace: TraceInst,
     fault: Option<PipeStage>,
-    mispred: bool,
+    /// [`BranchPredictor::resolve`]'s verdict (`None` for non-branches).
+    mispred: Option<bool>,
 }
 
 /// The scheme-invariant frontend pass, computed once and memoized until
@@ -168,23 +170,7 @@ impl SharedFrontend {
                 .as_ref()
                 .and_then(|m| m.decide(trace.pc, trace.op.is_mem(), trace.seq));
             // Same prediction/update sequence as Pipeline::fetch runs solo.
-            let mispred = match trace.op {
-                OpClass::CondBranch => {
-                    let actual_taken = trace.taken.expect("branches carry outcomes");
-                    let pred = self.bp.predict_cond(trace.pc);
-                    let m = pred.taken != actual_taken
-                        || (actual_taken && pred.target != trace.target);
-                    self.bp.update(trace.pc, actual_taken, trace.target);
-                    m
-                }
-                OpClass::Jump => {
-                    let pred = self.bp.predict_jump(trace.pc);
-                    let m = pred.target != trace.target;
-                    self.bp.update(trace.pc, true, trace.target);
-                    m
-                }
-                _ => false,
-            };
+            let mispred = self.bp.resolve(&trace);
             self.pulled += 1;
             self.buf.push_back(SharedEntry { trace, fault, mispred });
             true
@@ -205,7 +191,7 @@ impl SharedFrontend {
         Some(FedInst {
             trace: entry.trace,
             fault: if faulty { entry.fault } else { None },
-            mispred: Some(entry.mispred),
+            mispred: entry.mispred,
         })
     }
 

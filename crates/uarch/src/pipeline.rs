@@ -350,7 +350,6 @@ impl PipelineBuilder {
             retire_stall_until: 0,
             events: BinaryHeap::with_capacity(64),
             event_order: 0,
-            next_commit_seq: self.fast_forward,
             timestamp_counter: 0,
             last_fetch_line: u64::MAX,
             commit_limit: u64::MAX,
@@ -412,7 +411,6 @@ pub struct Pipeline {
     events: BinaryHeap<Reverse<ScheduledEvent>>,
     /// Monotonic tie-break for same-cycle events.
     event_order: u64,
-    next_commit_seq: u64,
     timestamp_counter: u8,
     last_fetch_line: u64,
     /// Retire stops once `committed` reaches this bound (set by `run`).
@@ -491,11 +489,6 @@ impl Pipeline {
             self.window.len_of(Queue::Rob),
             self.frontend_len(),
         )
-    }
-
-    /// TEP statistics, when a predictor is configured.
-    pub fn tep_stats(&self) -> Option<tv_tep::TepStats> {
-        self.tep.as_ref().map(|t| t.stats())
     }
 
     /// Runs until exactly `commits` more instructions have retired, then
@@ -654,7 +647,7 @@ impl Pipeline {
             last_commit_cycle,
             threshold: self.cfg.watchdog_cycles,
             committed: self.stats.committed,
-            next_commit_seq: self.next_commit_seq,
+            next_commit_seq: self.window.head(),
             rob_head,
             rob_len: self.window.len_of(Queue::Rob),
             iq_len: self.iq.len(),
@@ -802,7 +795,7 @@ impl Pipeline {
             committed: self.stats.committed,
             squashed: self.stats.squashed,
             in_flight: self.window.len() as u64,
-            next_commit_seq: self.next_commit_seq,
+            next_commit_seq: self.window.head(),
             rob_head_seq: self.window.front(Queue::Rob).map(|s| self.window.get(s).seq()),
             timestamp_counter: self.timestamp_counter,
             rename_stall_until: self.rename_stall_until,
@@ -1189,13 +1182,9 @@ impl Pipeline {
                 break;
             }
             let inst = *self.window.get(slot);
+            let head = self.window.head();
             self.window.advance(Queue::Rob);
-            assert_eq!(
-                inst.seq(),
-                self.next_commit_seq,
-                "out-of-order or lost commit"
-            );
-            self.next_commit_seq += 1;
+            assert_eq!(inst.seq(), head, "out-of-order or lost commit");
             self.stats.committed += 1;
             self.stats.activity.retires += 1;
             if self.audit.is_some() {
@@ -1716,38 +1705,17 @@ impl Pipeline {
             };
             inst.ready = now + self.cfg.frontend_latency + icache_extra;
 
-            // Branch prediction against the resolved trace outcome.
-            let mut ends_group = false;
-            let mut blocks_fetch = false;
-            match trace.op {
-                OpClass::CondBranch => {
-                    let actual_taken = trace.taken.expect("branches carry outcomes");
-                    // The co-sim frontend resolved the predictor verdict
-                    // once for all lanes; solo lanes consult their own.
-                    let mispred = shared_mispred.unwrap_or_else(|| {
-                        let pred = self.bp.predict_cond(trace.pc);
-                        let m = pred.taken != actual_taken
-                            || (actual_taken && pred.target != trace.target);
-                        self.bp.update(trace.pc, actual_taken, trace.target);
-                        m
-                    });
-                    inst.branch_mispredicted = mispred;
-                    blocks_fetch = mispred;
-                    ends_group = actual_taken;
-                }
-                OpClass::Jump => {
-                    let mispred = shared_mispred.unwrap_or_else(|| {
-                        let pred = self.bp.predict_jump(trace.pc);
-                        let m = pred.target != trace.target;
-                        self.bp.update(trace.pc, true, trace.target);
-                        m
-                    });
-                    inst.branch_mispredicted = mispred;
-                    blocks_fetch = mispred;
-                    ends_group = true;
-                }
-                _ => {}
-            }
+            // Branch prediction against the resolved trace outcome. The
+            // co-sim frontend resolved the predictor verdict once for all
+            // lanes; solo lanes (and any refetch) consult their own.
+            let mispred = shared_mispred.or_else(|| self.bp.resolve(&trace));
+            let blocks_fetch = mispred == Some(true);
+            inst.branch_mispredicted = blocks_fetch;
+            let ends_group = match trace.op {
+                OpClass::CondBranch => trace.taken == Some(true),
+                OpClass::Jump => true,
+                _ => false,
+            };
 
             let seq = inst.seq();
             self.window.push_fetched(inst);

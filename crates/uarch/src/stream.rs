@@ -21,8 +21,9 @@
 //! to one built alone.
 //!
 //! [`PipelineBuilder::build`](crate::PipelineBuilder::build) and
-//! [`CoSim::build`](crate::CoSim::build) each use a fresh memo; a job bag
-//! (`tv_core::Fleet::run_jobs`) owns one for its duration. No memo lives
+//! [`CoSim::build`](crate::CoSim::build) each use a fresh memo; an
+//! evaluation bag (`tv_core::run_evaluations`) owns one for its
+//! duration. No memo lives
 //! for the whole process: a process that repeats identical runs would
 //! then skip every walk after the first run, which no single run sees.
 

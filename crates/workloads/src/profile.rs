@@ -307,13 +307,6 @@ pub struct Profile {
     pub paper_ipc: f64,
 }
 
-impl Profile {
-    /// Profile for a SPEC CPU2006 benchmark.
-    pub fn spec2006(bench: Benchmark) -> Self {
-        profile_2006(bench)
-    }
-}
-
 fn profile_2006(bench: Benchmark) -> Profile {
     const KB: u64 = 1024;
     const MB: u64 = 1024 * 1024;

@@ -588,11 +588,6 @@ impl RiscvProgram {
         &self.insts
     }
 
-    /// One past the last instruction's PC.
-    pub fn end_pc(&self) -> u32 {
-        self.base + 4 * self.insts.len() as u32
-    }
-
     /// The static instruction at `pc`, if the PC lies inside the program.
     pub fn inst_at(&self, pc: u64) -> Option<&Inst> {
         let pc = u32::try_from(pc).ok()?;

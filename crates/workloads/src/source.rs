@@ -2,8 +2,8 @@
 //!
 //! [`WorkloadSource`] is the stream interface: the synthetic
 //! [`TraceGenerator`] yields instructions forever, while the RISC-V
-//! [`RiscvMachine`](crate::riscv::RiscvMachine) runs a real program to its
-//! `ecall` halt and then ends the stream. [`WorkloadSpec`] is the
+//! [`RiscvMachine`] runs a real program to its `ecall` halt and then
+//! ends the stream. [`WorkloadSpec`] is the
 //! *recipe* — a cloneable description a pipeline builder can instantiate
 //! any number of times. A started stream can also be
 //! [`fork`](WorkloadSource::fork)ed: the fault-calibration probe walks a

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Full offline verification: build (the stage-profile build included),
-# test, regenerate the committed goldens (differential audit, fig4,
-# table1, recovery_ablation, RISC-V runs, campaigns) and
-# require them byte for byte, drive the kill/resume, process-fleet,
-# server, fsck and chaos legs, check the parallel engine's determinism
-# contract by regenerating fig4 at several worker counts, and finish with
-# the wall-clock simulator-throughput gate.
+# Full offline verification: build (the stage-profile build and rustdoc
+# with warnings denied included), test, regenerate the committed goldens
+# (differential audit, fig4, table1, recovery_ablation, RISC-V runs,
+# campaigns) and require them byte for byte, drive the kill/resume,
+# process-fleet, server, fsck and chaos legs, check the parallel engine's
+# determinism contract by regenerating fig4 at several worker counts, and
+# finish with the wall-clock simulator-throughput gate.
 #
 # Usage: scripts/verify.sh [--skip-sweep]
 #   --skip-sweep   skip the fig4 worker-count sweep (it re-simulates fig4
@@ -25,6 +25,11 @@ echo "==> cargo check: the stage-profile build"
 # The `timed_stage!` probes compile to nothing by default; this builds
 # them, so a change to a profiled stage cannot leave the profiler broken.
 cargo check --release --offline -p tv-bench --features stage-profile
+
+echo "==> cargo doc: rustdoc with warnings denied"
+# Dangling or private intra-doc links fail here, so a deleted item
+# cannot leave docs pointing at it.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace --offline
@@ -147,13 +152,14 @@ wait "$campaign_pid" 2>/dev/null || true
 cmp "$tmp_campaign/campaign.csv" "$tmp_campaign/killed/campaign.csv"
 echo "    campaign.csv byte-identical after kill -9 + --resume"
 
-echo "==> multi-process sharded fleet: --procs 3 + worker kill -9 determinism"
+echo "==> multi-process fleet: --procs 3 + worker kill -9 determinism"
 # The same smoke campaign on the process fleet: three worker processes,
 # one of which is kill -9'd for real while the run is in flight (workers
 # are children of the coordinator, so pgrep -P finds one as soon as the
-# fleet is up). The coordinator must detect the death, reassign the
-# dead worker's shard, and still finish with an exit-0 CSV that is
-# byte-identical to the committed process-fleet golden.
+# fleet is up). The coordinator must detect the death, put the dead
+# worker's job back at the front of the queue, and still finish with an
+# exit-0 CSV that is byte-identical to the committed process-fleet
+# golden.
 ./target/release/campaign \
     --smoke --procs 3 --out "$tmp_campaign/cluster" \
     >"$tmp_campaign/cluster.log" 2>&1 &

@@ -1,10 +1,10 @@
 //! Determinism contract of the parallel experiment engine (`tv-core`'s
 //! [`Fleet`]): the same seed and config must produce **bit-identical**
 //! `SimStats`/`RunEnergy` across repeated serial runs, across 1/2/N
-//! worker threads, and regardless of job submission order — and a job bag's
-//! shared stream memo must change no result.
+//! worker threads, and regardless of job submission order — and an
+//! evaluation bag's shared stream memo must change no result.
 
-use tv_core::{run_evaluations, Experiment, Fleet, Job, RunConfig, Scheme};
+use tv_core::{run_evaluations, Experiment, Fleet, RunConfig, Scheme};
 use tv_prng::{ChaCha12Rng, Rng, SeedableRng};
 use tv_timing::Voltage;
 use tv_workloads::Benchmark;
@@ -50,32 +50,41 @@ fn worker_count_does_not_change_results() {
 
 #[test]
 fn shuffled_submission_order_does_not_change_results() {
-    let jobs: Vec<Job> = [Benchmark::Astar, Benchmark::Mcf, Benchmark::Sjeng]
-        .into_iter()
-        .flat_map(|bench| {
-            [Scheme::ErrorPadding, Scheme::Ffs].map(|scheme| {
-                Job::new(bench, Voltage::high_fault(), scheme, cfg())
+    let specs: Vec<(Experiment, Vec<Scheme>)> =
+        [Benchmark::Astar, Benchmark::Mcf, Benchmark::Sjeng]
+            .into_iter()
+            .flat_map(|bench| {
+                [Scheme::ErrorPadding, Scheme::Ffs].map(|scheme| {
+                    (
+                        Experiment::new(bench, Voltage::high_fault(), cfg()),
+                        vec![scheme],
+                    )
+                })
             })
-        })
-        .collect();
+            .collect();
     let fleet = Fleet::new(3);
-    let in_order = fleet.run_jobs(jobs.clone());
+    let (in_order, _) = run_evaluations(&fleet, &specs);
 
     // Deterministic Fisher–Yates shuffle of the submission order.
     let mut rng = ChaCha12Rng::seed_from_u64(0xF1EE7);
-    let mut perm: Vec<usize> = (0..jobs.len()).collect();
+    let mut perm: Vec<usize> = (0..specs.len()).collect();
     for i in (1..perm.len()).rev() {
         let j = rng.gen_range(0..=i);
         perm.swap(i, j);
     }
-    assert_ne!(perm, (0..jobs.len()).collect::<Vec<_>>(), "shuffle is real");
-    let shuffled: Vec<Job> = perm.iter().map(|&i| jobs[i]).collect();
-    let out_of_order = fleet.run_jobs(shuffled);
+    assert_ne!(
+        perm,
+        (0..specs.len()).collect::<Vec<_>>(),
+        "shuffle is real"
+    );
+    let shuffled: Vec<_> = perm.iter().map(|&i| specs[i].clone()).collect();
+    let (out_of_order, _) = run_evaluations(&fleet, &shuffled);
 
     for (pos, &orig) in perm.iter().enumerate() {
         assert_eq!(
-            out_of_order.results[pos], in_order.results[orig],
-            "job {orig} must not depend on submission position"
+            out_of_order[pos].results(),
+            in_order[orig].results(),
+            "spec {orig} must not depend on submission position"
         );
     }
 }
@@ -107,6 +116,7 @@ fn grouped_evaluations_are_identical_across_worker_counts() {
         .iter()
         .enumerate()
         .all(|(i, t)| t.index == i && !t.label.is_empty()));
+    assert_eq!(parallel_stats.timings[1].label, "bzip2/EP@0.970V");
 }
 
 #[test]
@@ -132,18 +142,31 @@ fn bag_memo_changes_no_result_and_is_keyed_by_stream() {
     };
     experiments.push((Benchmark::Gcc, high, reseeded));
     experiments.push((Benchmark::Gcc, high, skipped));
-    let jobs: Vec<Job> = experiments
+    // Scheme::ALL holds the baseline, so each spec is six jobs: 36 in all.
+    let specs: Vec<(Experiment, Vec<Scheme>)> = experiments
         .into_iter()
-        .flat_map(|(bench, vdd, config)| Scheme::ALL.map(|s| Job::new(bench, vdd, s, config)))
+        .map(|(bench, vdd, config)| (Experiment::new(bench, vdd, config), Scheme::ALL.to_vec()))
         .collect();
-    let alone: Vec<_> = jobs.iter().map(Job::run).collect();
+    let alone: Vec<Vec<_>> = specs
+        .iter()
+        .map(|(exp, schemes)| schemes.iter().map(|&s| exp.run_scheme(s)).collect())
+        .collect();
     for workers in [1, 4] {
-        let run = Fleet::new(workers).run_jobs(jobs.clone());
-        for ((job, got), want) in jobs.iter().zip(&run.results).zip(&alone) {
-            assert_eq!(got, want, "{} in a bag on {workers} workers", job.label());
+        let (evals, stats) = run_evaluations(&Fleet::new(workers), &specs);
+        assert_eq!(stats.jobs, 36);
+        for (eval, want) in evals.iter().zip(&alone) {
+            for (got, want) in eval.results().iter().zip(want) {
+                assert_eq!(
+                    got,
+                    want,
+                    "{}/{} in a bag on {workers} workers",
+                    eval.benchmark().name(),
+                    want.scheme
+                );
+            }
         }
         assert_eq!(
-            (run.stats.starts, run.stats.walks),
+            (stats.starts, stats.walks),
             (4, 4),
             "one program and one walk per stream on {workers} workers"
         );
