@@ -57,8 +57,14 @@ impl BranchPredictor {
     ///
     /// Panics if either size is not a power of two.
     pub fn new(pht_entries: usize, history_bits: u32, btb_entries: usize) -> Self {
-        assert!(pht_entries.is_power_of_two(), "PHT size must be a power of two");
-        assert!(btb_entries.is_power_of_two(), "BTB size must be a power of two");
+        assert!(
+            pht_entries.is_power_of_two(),
+            "PHT size must be a power of two"
+        );
+        assert!(
+            btb_entries.is_power_of_two(),
+            "BTB size must be a power of two"
+        );
         BranchPredictor {
             bimodal: vec![2; pht_entries],
             gshare: vec![2; pht_entries],
@@ -101,7 +107,11 @@ impl BranchPredictor {
         let pci = self.pc_index(pc);
         let bi = self.bimodal[pci] >= 2;
         let gs = self.gshare[self.gshare_index(pc)] >= 2;
-        let global = if self.chooser_global[pci] >= 2 { gs } else { bi };
+        let global = if self.chooser_global[pci] >= 2 {
+            gs
+        } else {
+            bi
+        };
         let local = self.local_pht[self.local_index(pc)] >= 2;
         if self.chooser_local[pci] >= 2 {
             local

@@ -172,7 +172,11 @@ impl SharedFrontend {
             // Same prediction/update sequence as Pipeline::fetch runs solo.
             let mispred = self.bp.resolve(&trace);
             self.pulled += 1;
-            self.buf.push_back(SharedEntry { trace, fault, mispred });
+            self.buf.push_back(SharedEntry {
+                trace,
+                fault,
+                mispred,
+            });
             true
         })
     }
@@ -241,7 +245,10 @@ struct Lane {
 impl Lane {
     /// This lane's outcome so far: its wedge dump, or `ok`.
     fn outcome<T>(&self, ok: impl FnOnce() -> T) -> Result<T, WatchdogError> {
-        self.wedged.as_deref().cloned().map_or_else(|| Ok(ok()), Err)
+        self.wedged
+            .as_deref()
+            .cloned()
+            .map_or_else(|| Ok(ok()), Err)
     }
 }
 
@@ -325,7 +332,11 @@ impl CoSim {
                 } else {
                     None
                 };
-                let cursor = SharedCursor { shared: Rc::clone(&shared), id, faulty };
+                let cursor = SharedCursor {
+                    shared: Rc::clone(&shared),
+                    id,
+                    faulty,
+                };
                 Lane {
                     pipe: b.build_with(Feed::Shared(cursor), lane_fm),
                     wd_last_commit_cycle: 0,
@@ -465,7 +476,11 @@ impl CoSim {
         };
         let target = start.saturating_add(commits);
         for lane in self.lanes.iter_mut().filter(|l| l.wedged.is_none()) {
-            debug_assert_eq!(lane.pipe.stats().committed, start, "lanes drift between phases");
+            debug_assert_eq!(
+                lane.pipe.stats().committed,
+                start,
+                "lanes drift between phases"
+            );
             lane.pipe.set_commit_limit(target);
             lane.wd_last_commit_cycle = lane.pipe.cycle();
             lane.wd_last_committed = lane.pipe.stats().committed;
@@ -487,8 +502,7 @@ impl CoSim {
                 if let Err(e) = stepped {
                     lane.wedged = Some(Box::new(e));
                     self.shared.borrow_mut().release(id);
-                } else if lane.pipe.stats().committed < target
-                    && !(to_halt && lane.pipe.drained())
+                } else if lane.pipe.stats().committed < target && !(to_halt && lane.pipe.drained())
                 {
                     all_done = false;
                 }

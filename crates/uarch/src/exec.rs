@@ -147,7 +147,11 @@ mod tests {
         let u = units();
         assert_eq!(pick(&u, OpClass::IntAlu, 0, 0b0001), Some(1));
         assert_eq!(pick(&u, OpClass::IntAlu, 0, 0b0011), None);
-        assert_eq!(pick(&u, OpClass::Jump, 0, 0b0001), None, "lane 0 alone jumps");
+        assert_eq!(
+            pick(&u, OpClass::Jump, 0, 0b0001),
+            None,
+            "lane 0 alone jumps"
+        );
     }
 
     #[test]

@@ -63,9 +63,9 @@ pub use config::{CoreConfig, LaneKind, RecoveryModel};
 pub use cosim::CoSim;
 pub use inflight::InFlightInst;
 pub use pipeline::{Pipeline, PipelineBuilder, ToleranceMode};
-pub use tv_audit::{AuditLevel, AuditReport};
-pub use tv_oracle::OracleReport;
 pub use policy::{mod64_age, AgeBasedSelect, IssueCandidate, SelectPolicy};
 pub use stats::SimStats;
 pub use stream::StreamMemo;
+pub use tv_audit::{AuditLevel, AuditReport};
+pub use tv_oracle::OracleReport;
 pub use watchdog::{RobHeadDump, WatchdogError};

@@ -177,7 +177,10 @@ mod tests {
         lsq.alloc_store(3); // older but unresolved
         assert!(!lsq.search_for_load(7, 0x3000, 5).forwarded);
         lsq.resolve_store(3, 0x3000, 6);
-        assert!(!lsq.search_for_load(7, 0x3000, 5).forwarded, "not resolved yet at 5");
+        assert!(
+            !lsq.search_for_load(7, 0x3000, 5).forwarded,
+            "not resolved yet at 5"
+        );
         assert!(lsq.search_for_load(7, 0x3000, 6).forwarded);
     }
 

@@ -151,9 +151,15 @@ mod tests {
     #[test]
     fn abs_seq_sort_equals_hardware_timestamp_sort() {
         // A realistic post-wrap issue-queue snapshot: ages 60..72 mod 64.
-        let mut cands: Vec<IssueCandidate> =
-            [70, 61, 63, 66, 60, 64, 71, 62].iter().map(|&s| candidate(s, false, false)).collect();
-        let head_ts = cands.iter().map(|c| c.timestamp).min_by_key(|&t| mod64_age(t, 60)).unwrap();
+        let mut cands: Vec<IssueCandidate> = [70, 61, 63, 66, 60, 64, 71, 62]
+            .iter()
+            .map(|&s| candidate(s, false, false))
+            .collect();
+        let head_ts = cands
+            .iter()
+            .map(|c| c.timestamp)
+            .min_by_key(|&t| mod64_age(t, 60))
+            .unwrap();
         assert_eq!(head_ts, 60 % 64);
         let mut by_hw = cands.clone();
         by_hw.sort_by_key(|c| mod64_age(c.timestamp, head_ts));

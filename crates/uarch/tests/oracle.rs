@@ -42,7 +42,11 @@ fn razor_replays_every_fault_and_commits_oracle_clean_values() {
     );
     let report = pipe.oracle_report().expect("oracle enabled");
     assert_eq!(report.checked, COMMITS);
-    assert!(report.clean(), "Razor corrupted state: {}", report.summary());
+    assert!(
+        report.clean(),
+        "Razor corrupted state: {}",
+        report.summary()
+    );
 }
 
 #[test]

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full offline verification: build (the stage-profile build and rustdoc
-# with warnings denied included), test, regenerate the committed goldens
+# Full offline verification: check the simulator crate's formatting,
+# build (the stage-profile build and rustdoc with warnings denied
+# included), test, regenerate the committed goldens
 # (differential audit, fig4, table1, recovery_ablation, RISC-V runs,
 # campaigns) and require them byte for byte, drive the kill/resume,
 # process-fleet, server, fsck and chaos legs, check the parallel engine's
@@ -17,6 +18,11 @@ cd "$(dirname "$0")/.."
 
 SKIP_SWEEP=0
 [[ "${1:-}" == "--skip-sweep" ]] && SKIP_SWEEP=1
+
+echo "==> cargo fmt --check: tv-uarch is rustfmt-clean"
+# Only the simulator crate is formatted so far; the rest of the workspace
+# joins this leg once it has been formatted in a change of its own.
+cargo fmt -p tv-uarch --check
 
 echo "==> cargo build --release --workspace (offline)"
 cargo build --release --workspace --offline
