@@ -1,10 +1,10 @@
 //! Steady-state zero-allocation guarantee for `Pipeline::step`.
 //!
 //! Every per-cycle buffer in the simulator is hoisted and reused: the
-//! issue stage's candidate scratch, the wakeup index's waiter lists and
-//! ready list, the flat cache tag arrays and the event heap all reach a
-//! stable capacity during warm-up, and the in-flight window is a ring
-//! sized at build. After that, a measured run must perform **zero** heap
+//! issue stage's candidate scratch, the flat cache tag arrays and the
+//! event heap all reach a stable capacity during warm-up, and the
+//! in-flight window and the issue queue's position, slot and reader
+//! tables are sized at build. After that, a measured run must perform **zero** heap
 //! allocations — the property the throughput work relies on, pinned here
 //! with a counting global allocator across all four tolerance modes.
 
@@ -61,8 +61,8 @@ fn steady_state_makes_no_allocations() {
             .pipeline_builder(Benchmark::Gcc, 42, Voltage::high_fault())
             .build();
         // Warm-up grows every buffer to its steady capacity (caches fill,
-        // the waiter lists reach their high-water marks, the
-        // CDL's criticality ranking is materialized).
+        // the candidate scratch and the event heap reach their high-water
+        // marks, the CDL's criticality ranking is materialized).
         pipe.warm_up(30_000);
         let before = ALLOCS.load(Ordering::Relaxed);
         let stats = pipe.run(30_000);

@@ -1,13 +1,14 @@
 //! Input-permutation invariance of the selection policies.
 //!
-//! The wakeup index hands candidates to `SelectPolicy::prioritize` in
-//! index order — an implementation detail that changes whenever the ready
-//! list's internal bookkeeping changes (entries are swap-removed on issue
-//! and demotion). The simulated schedule must not depend on that order:
-//! every policy's sort key embeds the unique sequence number, so the
-//! prioritized order is a total function of the candidate *set*. This
-//! regression test pins that property by shuffling each candidate set many
-//! ways and asserting the prioritized output never changes.
+//! The issue queue hands candidates to `SelectPolicy::prioritize` in the
+//! order of its positions — an implementation detail: an entry takes the
+//! lowest free position at dispatch, so the order depends on which
+//! entries issued or were squashed before it arrived, not on its age.
+//! The simulated schedule must not depend on that order: every policy's
+//! sort key embeds the unique sequence number, so the prioritized order
+//! is a total function of the candidate *set*. This regression test pins
+//! that property by shuffling each candidate set many ways and asserting
+//! the prioritized output never changes.
 
 use tv_core::{CriticalityDrivenSelect, FaultyFirstSelect};
 use tv_uarch::{AgeBasedSelect, IssueCandidate, SelectPolicy};
